@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -52,8 +52,9 @@ class MotherBump:
         return self.eval(x)
 
 
+@cache
 def default_bump():
-    """The quartic bump (15/16)(1 - x^2)^2 on (-1, 1).
+    """The quartic bump (15/16)(1 - x^2)^2 on (-1, 1), one shared instance.
 
     Mass is exactly 1; sup is 15/16 at 0; |phi'| peaks at 5*sqrt(3)/6.
     All three are closed forms, which keeps the gap estimate below exact.
@@ -82,21 +83,11 @@ def default_bump():
 
 
 @lru_cache(maxsize=32)
-def _bump_holder_constant_cached(alpha, key):
-    bump = _BUMP_REGISTRY[key]
-    grid = np.linspace(-1.0, 1.0, 4001)
-    return holder_constant(bump.eval, alpha, grid).constant
-
-
-_BUMP_REGISTRY = {}
-
-
 def bump_holder_constant(bump, alpha):
     """Order-alpha constant of the mother bump, measured on a fine grid
     and cached per (bump, alpha)."""
-    key = id(bump)
-    _BUMP_REGISTRY[key] = bump
-    return _bump_holder_constant_cached(alpha, key)
+    grid = np.linspace(-1.0, 1.0, 4001)
+    return holder_constant(bump.eval, alpha, grid).constant
 
 
 @dataclass(frozen=True)
@@ -434,6 +425,10 @@ class CandidatePlan:
         return self.eps2 * (self.k0 + 2) * self.bump_sup
 
 
+# how many floats below the smallest eps2 limit build_candidate tries
+_EPS2_ULPS = 4
+
+
 def _eps2_conditions(eps2, eps1, H, eps0, k0, hphi, lphi, mphi):
     return (eps2 * hphi <= eps1 * H
             and eps2 * lphi <= eps1
@@ -470,9 +465,19 @@ def build_candidate(f0, L0, H, eps1, k0, alpha, beta,
     hphi = bump_holder_constant(bump, alpha)
     lphi = bump.lip_const
     mphi = bump.sup
-    eps2 = min(eps1 * H / hphi, eps1 / lphi,
-               0.999 * eps0 / ((k0 + 2) * mphi))
-    assert _eps2_conditions(eps2, eps1, H, eps0, k0, hphi, lphi, mphi)
+    limit = min(eps1 * H / hphi, eps1 / lphi,
+                0.999 * eps0 / ((k0 + 2) * mphi))
+    # a binding Hoelder or Lipschitz limit can miss its own condition by
+    # one rounding of the product; step down to the next floats below
+    eps2 = limit
+    for _ in range(_EPS2_ULPS):
+        if _eps2_conditions(eps2, eps1, H, eps0, k0, hphi, lphi, mphi):
+            break
+        eps2 = float(np.nextafter(eps2, 0.0))
+    else:
+        raise ConstructionImpossible(
+            f"no eps2 within {_EPS2_ULPS} floats below {limit!r} meets the "
+            "Hoelder, Lipschitz and C^1-ball conditions")
 
     n0 = None
     for n in range(1, n_scan + 1):

@@ -111,16 +111,22 @@ def lipschitz_from_derivative(f, grid):
 def restricted_lipschitz(f, kset, grid_step):
     """Order-1 estimate over pairs drawn from a grid covering an
     IntervalSet.  Component endpoints are always in the grid.  An empty
-    set gives the zero estimate with no witness.  Oversized grids are
-    thinned evenly (endpoints kept) down to the pairwise cap.
+    set gives the zero estimate with no witness.  An oversized grid keeps
+    every endpoint and fills the rest of the pairwise cap with evenly
+    spaced grid points; a set with more endpoints than the cap is refused.
     """
     grid = kset.sample_grid(grid_step)
     if grid.size < 2:
         return HolderEstimate(order=1.0, constant=0.0, witness=None)
     if grid.size > MAX_GRID_POINTS:
-        keep = np.unique(np.linspace(0, grid.size - 1, MAX_GRID_POINTS).astype(int))
-        endpoints = np.concatenate([[float(p.lo), float(p.hi)] for p in kset.parts])
-        grid = np.unique(np.concatenate([grid[keep], endpoints]))
+        endpoints = np.unique([float(x) for p in kset.parts for x in (p.lo, p.hi)])
+        if endpoints.size > MAX_GRID_POINTS:
+            raise ValueError(f"the set has {endpoints.size} distinct endpoints, "
+                             f"more than the grid cap {MAX_GRID_POINTS}")
+        rest = np.setdiff1d(grid, endpoints, assume_unique=True)
+        fill = MAX_GRID_POINTS - endpoints.size
+        keep = np.unique(np.linspace(0, rest.size - 1, fill).astype(int))
+        grid = np.union1d(endpoints, rest[keep])
     return holder_constant(f, 1.0, grid)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cexlab import bump as bump_module
 from cexlab.bump import (CandidatePlan, ConstructionImpossible, build_candidate,
                          bump_holder_constant, default_bump,
                          extend_piecewise_affine, measure_budget, multibump,
@@ -58,6 +59,24 @@ class TestMotherBump:
         first = bump_holder_constant(b, 0.2)
         again = bump_holder_constant(b, 0.2)
         assert first == again > 0
+
+    def test_holder_constant_measured_once_per_alpha(self, monkeypatch):
+        calls = []
+
+        def counted(f, order, grid):
+            calls.append(order)
+            return holder_constant(f, order, grid)
+
+        monkeypatch.setattr(bump_module, "holder_constant", counted)
+        bump_holder_constant.cache_clear()
+        try:
+            assert default_bump() is default_bump()
+            first = bump_holder_constant(default_bump(), 0.3)
+            again = bump_holder_constant(default_bump(), 0.3)
+        finally:
+            bump_holder_constant.cache_clear()
+        assert first == again > 0
+        assert calls == [0.3]
 
 
 class TestMultibumpFunction:
@@ -249,6 +268,25 @@ class TestCandidateConstruction:
         with pytest.raises(ConstructionImpossible, match="n_scan"):
             build_candidate(self.zero_f0(), L0=0.0, H=1.0, eps1=0.5,
                             k0=1, alpha=0.2, beta=1.5, n_scan=10)
+
+    @pytest.mark.parametrize("H,eps1,binding", [
+        (0.33518180495185834, 0.7321559021207853, "hoelder"),
+        (0.7957225721264634, 0.37607715543611214, "lipschitz"),
+    ])
+    def test_binding_limit_rounded_up_is_stepped_down(self, H, eps1, binding):
+        alpha = 0.0787
+        b = default_bump()
+        hphi, lphi = bump_holder_constant(b, alpha), b.lip_const
+        limit = {"hoelder": eps1 * H / hphi, "lipschitz": eps1 / lphi}[binding]
+        # the smallest limit itself misses its condition by one rounding
+        assert limit == min(eps1 * H / hphi, eps1 / lphi, 0.999 / (4 * b.sup))
+        assert (limit * hphi > eps1 * H) if binding == "hoelder" else (limit * lphi > eps1)
+        plan = build_candidate(self.zero_f0(), L0=0.0, H=H, eps1=eps1, k0=2,
+                               alpha=alpha, beta=1.5, eps0=1.0)
+        assert plan.eps2 * hphi <= eps1 * H
+        assert plan.eps2 * lphi <= eps1
+        assert plan.eps2 * 4 * b.sup < 1.0
+        assert limit - 4 * math.ulp(limit) <= plan.eps2 < limit
 
 
 class TestMeasureBudget:

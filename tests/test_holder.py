@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cexlab import holder
 from cexlab.holder import (Fn1D, MAX_GRID_POINTS, check_derivative_consistency,
                            holder_constant, lipschitz_from_derivative,
                            restricted_lipschitz, sawtooth,
                            sawtooth_half_holder_constant, sawtooth_perturb)
-from cexlab.intervals import IntervalSet
+from cexlab.intervals import DyadicFamily, IntervalSet, build_kn
 
 
 class TestHolderConstant:
@@ -72,6 +73,7 @@ class TestHolderConstant:
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=3,
                     max_size=12, unique=True))
     @settings(max_examples=60, deadline=None)
+    @example(knots=[0.0, 0.6, -1.9])
     def test_piecewise_linear_bounded_by_max_slope(self, knots):
         xs = np.array(sorted(knots))
         rng = np.random.default_rng(int(abs(xs[0]) * 1e6) % 2 ** 31)
@@ -82,7 +84,10 @@ class TestHolderConstant:
         true_slope = float(np.max(np.abs(np.diff(vals) / dx)))
         f = lambda x: np.interp(x, xs, vals)
         grid = np.linspace(xs[0], xs[-1], 801)
-        grid = np.unique(np.concatenate([grid, xs]))
+        # the same separation as the knots: a grid point a rounding away
+        # from a knot makes np.interp's error the whole quotient
+        near_knot = np.min(np.abs(grid[:, None] - xs[None, :]), axis=1) < 1e-6
+        grid = np.unique(np.concatenate([grid[~near_knot], xs]))
         est = holder_constant(f, 1.0, grid)
         assert est.constant <= true_slope * (1.0 + 1e-9) + 1e-12
 
@@ -129,6 +134,27 @@ class TestRestrictedLipschitz:
                                    IntervalSet.from_pairs([(0.0, 10.0)]),
                                    1e-4)
         assert est.constant == pytest.approx(1.0, rel=1e-9)
+
+    def test_thinning_keeps_endpoints_within_the_cap(self, monkeypatch):
+        # 576 components: thinning the 4480-point grid to the cap and then
+        # adding the endpoints back used to give 4191 points
+        kset = build_kn(DyadicFamily(0.2, 1.5, 1), 4, 10)
+        sizes = []
+
+        def measured(f, order, grid):
+            sizes.append(np.asarray(grid).size)
+            assert set(float(x) for p in kset.parts for x in (p.lo, p.hi)) <= set(grid)
+            return holder_constant(f, order, grid)
+
+        monkeypatch.setattr(holder, "holder_constant", measured)
+        est = restricted_lipschitz(np.sin, kset, 1e-4)
+        assert sizes and sizes[0] <= MAX_GRID_POINTS
+        assert 0.9 <= est.constant <= 1.0
+
+    def test_too_many_endpoints_is_refused(self):
+        pairs = [(3.0 * i, 3.0 * i + 1.0) for i in range(MAX_GRID_POINTS // 2 + 1)]
+        with pytest.raises(ValueError, match="endpoints"):
+            restricted_lipschitz(np.sin, IntervalSet.from_pairs(pairs), 0.5)
 
 
 class TestSawtooth:

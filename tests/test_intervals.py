@@ -15,6 +15,56 @@ def fam(alpha=0.2, beta=1.5, window=1):
     return DyadicFamily(alpha=alpha, beta=beta, window=window)
 
 
+# --- reference constructions: one Fraction interval per dyadic point,
+# merged level by level, and the per-part linspace grid
+
+def oracle_un(family, n):
+    w = Fraction(family.window)
+    r = family.radius(n)
+    window = Interval(-w, w)
+    jmax = math.floor(w * 2 ** n)
+    parts = []
+    for j in range(-jmax, jmax + 1):
+        c = Fraction(j, 2 ** n)
+        p = Interval(c - r, c + r).intersect(window)
+        if p is not None:
+            parts.append(p)
+    return IntervalSet(parts)
+
+
+def oracle_kn(family, n, nmax):
+    w = Fraction(family.window)
+    acc = IntervalSet()
+    for i in range(n, nmax + 1):
+        acc = acc.union(oracle_un(family, i))
+    return acc.complement(-w, w)
+
+
+def oracle_grid(s, step):
+    chunks = []
+    for p in s.parts:
+        lo, hi = float(p.lo), float(p.hi)
+        npts = max(2, int(math.ceil((hi - lo) / step)) + 1)
+        chunks.append(np.linspace(lo, hi, npts))
+    return np.unique(np.concatenate(chunks)) if chunks else np.empty(0)
+
+
+def endpoint_types(s):
+    return [(type(p.lo), type(p.hi)) for p in s.parts]
+
+
+def assert_same_set(got, want):
+    assert got == want
+    assert endpoint_types(got) == endpoint_types(want)
+    assert got.measure == want.measure
+    assert type(got.measure) is type(want.measure)
+
+
+def assert_bit_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestInterval:
     def test_orders_endpoints(self):
         with pytest.raises(ValueError, match="out of order"):
@@ -69,6 +119,12 @@ class TestIntervalSet:
     def test_sample_grid_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             IntervalSet().sample_grid(0.0)
+
+    def test_sample_grid_matches_linspace_per_part(self):
+        s = IntervalSet.from_pairs([(Fraction(-1), Fraction(-1, 3)), (0.0, 0.0),
+                                    (0.1, 0.1 + 1e-300), (0.25, 0.7), (1, 5)])
+        for step in (0.5, 0.013, 1e-3):
+            assert_bit_identical(s.sample_grid(step), oracle_grid(s, step))
 
 
 exact_sets = st.lists(
@@ -212,6 +268,58 @@ class TestBuildKn:
             bound = sum((float(b - a) * 2 ** i + 3) * 2 * 2.0 ** (-1.5 * i)
                         for i in range(n, n + 200))
             assert float(gap) <= bound + 1e-12
+
+
+# (beta, window, (n, nmax)); the level-12 reference runs on the unit
+# window only, as it takes seconds on the wider ones
+EQUIVALENCE_CASES = [
+    (beta, window, levels)
+    for beta in (1.4, 1.5, 1.6, 2, 2.5)
+    for window, levels in [(w, lv) for w in (0, 1, 2, 3)
+                           for lv in ((1, 1), (1, 5), (3, 8), (5, 10))]
+    + [(1, (4, 12))]]
+
+
+class TestArrayBuildMatchesFractionSweep:
+    """build_un / build_kn sort and merge all levels at once on float64
+    arrays; they must give the per-level Fraction construction exactly."""
+
+    @pytest.mark.parametrize("beta,window,levels", EQUIVALENCE_CASES,
+                             ids=[f"beta{b}-w{w}-n{n}-{nmax}"
+                                  for b, w, (n, nmax) in EQUIVALENCE_CASES])
+    def test_parts_types_measure_and_grid(self, beta, window, levels):
+        n, nmax = levels
+        f = fam(beta=beta, window=window)
+        kn = build_kn(f, n, nmax)
+        assert_same_set(kn, oracle_kn(f, n, nmax))
+        for i in (n, nmax):
+            assert_same_set(build_un(f, i), oracle_un(f, i))
+        for step in (2.0 ** -n / 7, 1e-3):
+            assert_bit_identical(kn.sample_grid(step), oracle_grid(kn, step))
+
+    @pytest.mark.parametrize("beta,levels", [(10.1, (6, 6)), (12.7, (5, 6))])
+    def test_radius_below_half_an_ulp_of_the_window(self, beta, levels):
+        # -1 + 2^(-beta*n) rounds to -1.0: the first part ends at the
+        # window's lo, and the gap after it starts at the window's Fraction
+        f = fam(beta=beta)
+        kn = build_kn(f, *levels)
+        assert_same_set(kn, oracle_kn(f, *levels))
+        assert type(kn.parts[0].lo) is Fraction
+
+    @pytest.mark.parametrize("build", [lambda f: build_kn(f, 27, 27),
+                                       lambda f: build_un(f, 27)])
+    def test_depth_past_float64_is_refused(self, build):
+        # beta*27 = 54: the endpoints j/2^27 +- 2^-54 need 55-bit numerators
+        with pytest.raises(ValueError, match="level 27 is past the float64 depth"):
+            build(fam(beta=2))
+
+    def test_depth_gate_counts_the_window(self):
+        with pytest.raises(ValueError, match="level 7 is past the float64 depth"):
+            build_kn(fam(beta=2, window=2 ** 40), 7, 7)
+
+    def test_window_must_be_exact_in_float64(self):
+        with pytest.raises(ValueError, match="not exact in float64"):
+            build_kn(fam(window=Fraction(1, 3)), 2, 4)
 
 
 class TestOmegaLimit:
