@@ -166,12 +166,20 @@ def w1p_seminorm(field, p):
 
 def w1p_norm(vfield, p):
     """L^p norm of the full velocity gradient (Frobenius pointwise)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    return w1p_norms(vfield, (p,))[0]
+
+
+def w1p_norms(vfield, ps):
+    """w1p_norm for every p in ps, from one Jacobian of the field."""
+    ps = tuple(ps)
+    for p in ps:
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
     ux, uy = gradient(ScalarField2D(values=vfield.u, box=vfield.box))
     vx, vy = gradient(ScalarField2D(values=vfield.v, box=vfield.box))
     jac = np.sqrt(ux * ux + uy * uy + vx * vx + vy * vy)
-    return float(np.sum(jac ** p) * vfield.dx ** 2) ** (1.0 / p)
+    area = vfield.dx ** 2
+    return [float(np.sum(jac ** p) * area) ** (1.0 / p) for p in ps]
 
 
 def spectral_divergence(vfield):
@@ -267,6 +275,8 @@ def load_field(path):
             raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a field snapshot: bad magic")
+    if len(raw) < 20:
+        raise ValueError(f"snapshot truncated: header needs 20 bytes, got {len(raw)}")
     version, n, box = struct.unpack("<IId", raw[4:20])
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")

@@ -13,12 +13,19 @@ The advection scheme is semi-Lagrangian: characteristics are traced
 backwards with a midpoint step and the tracer is resampled with cubic
 B-splines, so the scheme is unconditionally stable and the time step
 gate is an accuracy constraint, not a stability one.
+
+A stage velocity only changes when its mixer switches direction, so
+stage_velocity builds it once per (mixer, stage, half period, grid,
+box) and hands every caller the same field, with read-only arrays.  The
+gradient budget of a field is measured with fields.w1p_norms, which
+takes the velocity Jacobian once for all exponents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +33,7 @@ from scipy import ndimage
 
 from .fields import (ScalarField2D, VectorField2D, gradient, hs_norm,
                      l2_norm, modulated_blob, spectral_divergence,
-                     spectral_tail_fraction, w1p_norm)
+                     spectral_tail_fraction, w1p_norms)
 
 
 def _ramp(t):
@@ -123,15 +130,24 @@ class AlternatingMixer:
         return smoothstep((self.r_outer - np.asarray(r, dtype=float))
                           / (self.r_outer - self.r_inner))
 
-    def stream(self, t, x, y):
-        """Stream function samples at mixer time t."""
+    def first_half(self, t):
+        """Whether mixer time t falls in the first half of its period,
+        where the shear runs along y; the field depends on t only
+        through this."""
+        return (t / self.period) % 1.0 < 0.5
+
+    def half_stream(self, first_half, x, y):
+        """Stream function samples in the first or the second half period."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         chi = self.cutoff(np.hypot(x, y))
         c = self.amplitude * self.wavelength / (2.0 * math.pi)
-        phase = (t / self.period) % 1.0
-        coord = y if phase < 0.5 else x
+        coord = y if first_half else x
         return c * np.cos(2.0 * math.pi * coord / self.wavelength) * chi
+
+    def stream(self, t, x, y):
+        """Stream function samples at mixer time t."""
+        return self.half_stream(self.first_half(t), x, y)
 
 
 def perp_grad_field(stream_samples, box):
@@ -191,8 +207,9 @@ def check_admissible(vfield, support_radius=1.0,
     sup_ok = sup <= 1.0 + 1e-12
 
     worst_p, worst_ratio = 0.0, 0.0
-    for p in p_values:
-        ratio = w1p_norm(vfield, p) / gradient_budget(p)
+    p_values = tuple(p_values)
+    for p, norm in zip(p_values, w1p_norms(vfield, p_values)):
+        ratio = norm / gradient_budget(p)
         if ratio > worst_ratio:
             worst_p, worst_ratio = p, ratio
     gradient_ok = worst_ratio <= 1.0
@@ -274,15 +291,30 @@ def stage_velocity(mixer, stage, t, grid_n, box):
     Built by rescaling the stream function (n lam^2 psi_*) and taking
     the perpendicular gradient on the target grid, which keeps the
     divergence at spectral roundoff regardless of the rescaling.
+
+    The field only changes when the stage's mixer time n t crosses a
+    half period, so it is built once per (mixer, stage, half period,
+    grid, box) and returned with read-only u and v arrays: every caller
+    shares the same object.  The cache keeps the last two fields, both
+    halves of the stage being advanced; at grid 512 each takes 4 MB.
     """
+    return _build_stage_velocity(mixer, stage, mixer.first_half(stage.n * t),
+                                 grid_n, box)
+
+
+@lru_cache(maxsize=2)
+def _build_stage_velocity(mixer, stage, first_half, grid_n, box):
     cx, cy = stage.center
 
     def fn(x, y):
-        return stage.n * stage.lam ** 2 * mixer.stream(
-            stage.n * t, (x - cx) / stage.lam, (y - cy) / stage.lam)
+        return stage.n * stage.lam ** 2 * mixer.half_stream(
+            first_half, (x - cx) / stage.lam, (y - cy) / stage.lam)
 
     f = ScalarField2D.from_function(fn, grid_n, box)
-    return perp_grad_field(f.values, box)
+    vf = perp_grad_field(f.values, box)
+    vf.u.flags.writeable = False
+    vf.v.flags.writeable = False
+    return vf
 
 
 def stage_tracer(tracer_fn, stage, grid_n, box):
@@ -331,9 +363,10 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
     or a single constant-in-time field.  Characteristics are traced back
     with a midpoint step (velocity at the half step, sampled linearly at
     the half-step foot), and theta is resampled with periodic cubic
-    B-splines.  The step must satisfy dt sup|u| <= cfl_safety dx; this
-    keeps the backtrace inside a neighbouring cell, which is what the
-    midpoint sampling assumes.
+    B-splines.  The step must satisfy dt sup|u| <= cfl_safety dx, the
+    sup taken over both velocity samples of the step; this keeps the
+    backtrace inside a neighbouring cell, which is what the midpoint
+    sampling assumes.  A step where both samples vanish is skipped.
     """
     if t1 < t0:
         raise ValueError("need t1 >= t0")
@@ -357,9 +390,14 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
     for s in range(steps):
         t = t0 + s * dt
         vf = velocity_at(t)
-        if vf.n != n or vf.box != box:
-            raise ValueError("velocity grid does not match the tracer grid")
+        vh = velocity_at(t + 0.5 * dt)
+        for f in (vf, vh):
+            if f.n != n or f.box != box:
+                raise ValueError("velocity grid does not match the tracer grid")
+        # the backtrace uses both samples, so both gate the step
         sup = vf.sup_speed
+        if vh is not vf:
+            sup = max(sup, vh.sup_speed)
         if sup == 0.0:
             continue
         if dt * sup > cfl_safety * dx:
@@ -369,7 +407,6 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
         # midpoint foot in index units
         hx = ix - 0.5 * dt * vf.u / dx
         hy = iy - 0.5 * dt * vf.v / dx
-        vh = velocity_at(t + 0.5 * dt)
         um = ndimage.map_coordinates(vh.u, [hx, hy], order=1, mode="grid-wrap")
         vm = ndimage.map_coordinates(vh.v, [hx, hy], order=1, mode="grid-wrap")
         bx = ix - dt * um / dx
@@ -455,9 +492,11 @@ def rescale_norm_check(lam, gamma, n, grid_n, box,
     shr_u = perp_grad_field(stream(lam, n * lam * lam).values, box)
     w1p_details = []
     w1p_worst = 0.0
-    for p in p_values:
+    p_values = tuple(p_values)
+    for p, shr, base in zip(p_values, w1p_norms(shr_u, p_values),
+                            w1p_norms(base_u, p_values)):
         predicted = n * lam ** (2.0 / p)
-        measured = w1p_norm(shr_u, p) / w1p_norm(base_u, p)
+        measured = shr / base
         rel = abs(measured - predicted) / predicted
         w1p_details.append((p, predicted, measured, rel))
         w1p_worst = max(w1p_worst, rel)

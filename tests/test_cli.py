@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cexlab import cli
+from cexlab import cli, transport
 from cexlab.fields import load_field
 
 
@@ -211,6 +211,21 @@ class TestTransportCommand:
         assert lams == sorted(lams, reverse=True)
         lbs = [float(r[10]) for r in rows]
         assert all(b > 0 for b in lbs)
+
+    def test_csv_same_with_stage_velocity_cache_cold_and_warm(self, tmp_path):
+        cfg = write_cfg(tmp_path, "transport.stage_min = 4\n"
+                                  "transport.stage_max = 4\n"
+                                  "transport.grid = 256\n"
+                                  "transport.steps = 40\n")
+        cache = transport._build_stage_velocity
+        cache.cache_clear()
+        csvs = []
+        for name in ("cold.csv", "warm.csv"):
+            out = tmp_path / name
+            assert run(["transport", "--config", cfg, "--csv", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert cache.cache_info().misses == 2  # one build per half period
+        assert csvs[0] == csvs[1]
 
     def test_demo_with_snapshot(self, tmp_path):
         cfg = write_cfg(tmp_path, "transport.stage_min = 4\n"

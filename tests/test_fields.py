@@ -11,7 +11,7 @@ from cexlab.fields import (ScalarField2D, VectorField2D, gaussian_blob,
                            gradient, hs_norm, l2_norm, load_field,
                            modulated_blob, quadrupole_blob, save_field,
                            spectral_divergence, spectral_tail_fraction,
-                           w1p_norm, w1p_seminorm)
+                           w1p_norm, w1p_norms, w1p_seminorm)
 
 BOX = 2.0
 
@@ -83,10 +83,29 @@ class TestNorms:
                         hs_norm(ScalarField2D(vf.v, BOX), 1.0))
         assert w1p_norm(vf, 2.0) == pytest.approx(h1, rel=1e-12)
 
+    def test_w1p_norms_match_per_exponent_norms(self):
+        k1 = 2.0 * math.pi / BOX
+        vf = VectorField2D.from_functions(
+            lambda x, y: np.cos(2 * k1 * x) * np.sin(3 * k1 * y) ** 3,
+            lambda x, y: np.sin(5 * k1 * x) + 0.3 * np.cos(k1 * y),
+            64, BOX)
+        ps = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+        # the per-exponent formula, one Jacobian per p
+        ux, uy = gradient(ScalarField2D(vf.u, BOX))
+        vx, vy = gradient(ScalarField2D(vf.v, BOX))
+        jac = np.sqrt(ux * ux + uy * uy + vx * vx + vy * vy)
+        want = [float(np.sum(jac ** p) * vf.dx ** 2) ** (1.0 / p) for p in ps]
+        assert w1p_norms(vf, ps) == want
+        assert w1p_norms(vf, ps) == [w1p_norm(vf, p) for p in ps]
+        assert w1p_norms(vf, iter(ps)) == want
+        assert w1p_norms(vf, ()) == []
+
     def test_w1p_p_gate(self):
         vf = VectorField2D(u=np.zeros((8, 8)), v=np.zeros((8, 8)), box=BOX)
         with pytest.raises(ValueError, match="p must"):
             w1p_norm(vf, 0.5)
+        with pytest.raises(ValueError, match="p must"):
+            w1p_norms(vf, (2.0, 0.5))
         with pytest.raises(ValueError, match="p must"):
             w1p_seminorm(ScalarField2D(np.zeros((8, 8)), BOX), 0.5)
 
@@ -190,3 +209,6 @@ class TestSnapshotFormat:
             load_field(io.BytesIO(bad_version))
         with pytest.raises(ValueError, match="truncated"):
             load_field(io.BytesIO(raw[:-8]))
+        for cut in (4, 6, 19):
+            with pytest.raises(ValueError, match="truncated"):
+                load_field(io.BytesIO(raw[:cut]))

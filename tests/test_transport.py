@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cexlab.fields import ScalarField2D, VectorField2D, gaussian_blob, hs_norm, l2_norm, spectral_divergence
+from cexlab import transport
+from cexlab.fields import ScalarField2D, VectorField2D, gaussian_blob, hs_norm, l2_norm, spectral_divergence, w1p_norm
 from cexlab.transport import (AlternatingMixer, advect, blowup_budget,
                               check_admissible, check_stage_geometry,
                               check_stages_disjoint, default_schedule,
@@ -126,6 +127,16 @@ class TestAdmissibility:
         assert not rep.support_ok
         assert rep.outside_speed > 0
 
+    def test_reports_match_per_exponent_norms(self, monkeypatch):
+        vf = mixer_velocity(AlternatingMixer(), 0.3, 256, BOX)
+        rep = check_admissible(vf)
+        rc = rescale_norm_check(0.5, math.exp(-1.0), 4, 128, BOX)
+        # oracle: one Jacobian per exponent
+        monkeypatch.setattr(transport, "w1p_norms",
+                            lambda vf, ps: [w1p_norm(vf, p) for p in ps])
+        assert check_admissible(vf) == rep
+        assert rescale_norm_check(0.5, math.exp(-1.0), 4, 128, BOX) == rc
+
 
 class TestStageGeometry:
     def test_stage_index_gate(self):
@@ -169,6 +180,65 @@ class TestStageGeometry:
         st = make_stage(sch, 4, (0.3125, 0.0))
         tr = stage_tracer(lambda x, y: np.exp(-(x * x + y * y)), st, 256, BOX)
         assert np.max(tr.values) == pytest.approx(st.gam, rel=1e-12)
+
+
+def uncached_stage_velocity(mixer, stage, t, grid_n, box):
+    """stage_velocity rebuilt from the stream function on every call."""
+    cx, cy = stage.center
+
+    def stream(t, x, y):
+        chi = mixer.cutoff(np.hypot(x, y))
+        c = mixer.amplitude * mixer.wavelength / (2.0 * math.pi)
+        phase = (t / mixer.period) % 1.0
+        coord = y if phase < 0.5 else x
+        return c * np.cos(2.0 * math.pi * coord / mixer.wavelength) * chi
+
+    def fn(x, y):
+        return stage.n * stage.lam ** 2 * stream(
+            stage.n * t, (x - cx) / stage.lam, (y - cy) / stage.lam)
+
+    f = ScalarField2D.from_function(fn, grid_n, box)
+    return perp_grad_field(f.values, box)
+
+
+class TestStageVelocityCache:
+    def test_bit_identical_to_uncached_build(self):
+        mixer = AlternatingMixer()
+        sch = default_schedule()
+        for n in (1, 2, 3, 4):
+            st = make_stage(sch, n, (0.1, -0.05))
+            half = 0.5 * mixer.period / n
+            # both halves of two periods, and each switch time itself
+            for t in (0.0, 0.3 * half, half, 1.7 * half, 2.0 * half,
+                      2.5 * half, 3.0 * half, 3.9 * half):
+                got = stage_velocity(mixer, st, t, 128, BOX)
+                want = uncached_stage_velocity(mixer, st, t, 128, BOX)
+                assert np.array_equal(got.u, want.u), (n, t)
+                assert np.array_equal(got.v, want.v), (n, t)
+                assert got.box == want.box
+
+    def test_one_object_per_half_period(self):
+        mixer = AlternatingMixer()
+        st = make_stage(default_schedule(), 2, (0.0, 0.0))
+        half = 0.5 * mixer.period / st.n
+        a = stage_velocity(mixer, st, 0.1 * half, 64, BOX)
+        assert stage_velocity(mixer, st, 0.9 * half, 64, BOX) is a
+        assert stage_velocity(mixer, st, 2.2 * half, 64, BOX) is a
+        b = stage_velocity(mixer, st, 1.1 * half, 64, BOX)
+        assert b is not a
+        assert not np.array_equal(a.u, b.u)
+        assert stage_velocity(mixer, st, 0.1 * half, 128, BOX) is not a
+
+    def test_returned_arrays_are_read_only(self):
+        st = make_stage(default_schedule(), 1, (0.0, 0.0))
+        vf = stage_velocity(AlternatingMixer(), st, 0.0, 64, BOX)
+        before = vf.u.copy()
+        with pytest.raises(ValueError):
+            vf.u[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vf.v += 1.0
+        again = stage_velocity(AlternatingMixer(), st, 0.0, 64, BOX)
+        assert np.array_equal(again.u, before)
 
 
 class TestPerpGrad:
@@ -218,6 +288,26 @@ class TestAdvection:
         out = advect(th, self.zero_velocity(), 0.0, 1.0, 0.25)
         assert np.array_equal(out.values, th.values)
         assert advect(th, self.zero_velocity(), 0.0, 0.0, 0.1) is th
+
+    def test_velocity_ramping_up_from_rest(self):
+        # u(t) = t u0 vanishes at t0 = 0 but not at the first midpoint;
+        # for a uniform ramp the midpoint backtrace is exact, so one step
+        # moves the blob by u0 dt^2 / 2
+        n = 64
+        th = self.blob(n)
+        u0 = np.full((n, n), 0.25)
+
+        def ramp(t):
+            return VectorField2D(u=t * u0, v=0 * u0, box=BOX)
+
+        dt = 0.25
+        out = advect(th, ramp, 0.0, dt, dt)
+        moved = gaussian_blob(n, BOX, (0.125 * dt * dt, 0.0), 0.25)
+        assert np.max(np.abs(out.values - th.values)) > 0.01
+        assert np.max(np.abs(out.values - moved.values)) <= 2e-4
+        # the midpoint sample gates the step too
+        with pytest.raises(ValueError, match="too large"):
+            advect(th, lambda t: ramp(40.0 * t), 0.0, dt, dt)
 
     def test_uniform_translation_matches_roll(self):
         n = 64
