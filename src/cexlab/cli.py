@@ -35,6 +35,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -390,20 +391,14 @@ def place_stages(schedule, n_lo, n_hi, x0, margin, support_radius=0.95):
     return list(reversed(stages))
 
 
-_BASE_CACHE = {}
-
-
+@lru_cache(maxsize=4)
 def _base_measurements(amplitude, wavelength, sigma, grid, box):
     """Sup speed of the unit-scale velocity and H^s norms of the
     unit-scale tracer, measured once and reused across sweep rows."""
-    key = (amplitude, wavelength, sigma, grid, box)
-    if key not in _BASE_CACHE:
-        mixer = AlternatingMixer(amplitude=amplitude, wavelength=wavelength)
-        sup = mixer_velocity(mixer, 0.25, grid, box).sup_speed
-        tracer = ScalarField2D.from_function(_quadrupole_profile(sigma),
-                                             grid, box)
-        _BASE_CACHE[key] = (sup, tracer)
-    return _BASE_CACHE[key]
+    mixer = AlternatingMixer(amplitude=amplitude, wavelength=wavelength)
+    sup = mixer_velocity(mixer, 0.25, grid, box).sup_speed
+    tracer = ScalarField2D.from_function(_quadrupole_profile(sigma), grid, box)
+    return sup, tracer
 
 
 def run_transport(cfg, snapshot=None):
@@ -603,9 +598,6 @@ def build_parser():
         p.add_argument("--sweep", help="key=a..b inclusive integer sweep")
         p.add_argument("--tol", type=float,
                        help="override the command's tolerance key")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (current commands "
-                            "are deterministic)")
         if name == "transport":
             p.add_argument("--snapshot",
                            help="write the final combined field here")

@@ -5,18 +5,27 @@ The estimator is the plain sup over grid pairs of
 monotone under grid refinement, and it transforms exactly under rescaling
 of the argument; those three properties are what the construction proofs
 lean on, so they are what the tests pin down.
+
+At order 1 the sup is taken over neighbouring pairs only: on an
+increasing grid every chord's slope is a weighted mean of the
+neighbouring slopes between its ends, so no other pair can beat them
+(in floating point, a chord over collinear points can round a few units
+in the last place above them).  That makes order 1 linear in the grid
+size, with no cap; orders below 1 scan all pairs and keep the
+MAX_GRID_POINTS cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-# Hard cap on the pairwise sup: N^2 pair scans get slow and memory hungry
-# beyond this, and refining past it has never moved an estimate in tests.
+# Hard cap on the order < 1 pair scan: N^2 pair scans get slow and memory
+# hungry beyond this, and refining past it has never moved an estimate in
+# tests.
 MAX_GRID_POINTS = 4096
 
 _CHUNK = 256
@@ -58,22 +67,32 @@ def _as_callable(f):
 def holder_constant(f, order, grid):
     """Sup of the order-Hoelder quotient over all pairs of grid points.
 
-    The grid must be strictly increasing with at most MAX_GRID_POINTS
-    entries; duplicated points would make the quotient 0/0 and are
-    rejected.  Runs in chunks to keep the N^2 distance matrix off the
-    heap.
+    The grid must be strictly increasing; duplicated points would make
+    the quotient 0/0 and are rejected.  Order 1 takes the sup over
+    neighbouring pairs, which is the sup over all pairs on any such grid,
+    and accepts a grid of any size.  Orders below 1 allow at most
+    MAX_GRID_POINTS entries and scan all pairs in chunks, to keep the
+    N^2 distance matrix off the heap.
     """
     if not 0 < order <= 1:
         raise ValueError(f"order must be in (0, 1], got {order}")
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
-    if x.size > MAX_GRID_POINTS:
+    if order < 1 and x.size > MAX_GRID_POINTS:
         raise ValueError(f"grid has {x.size} points, cap is {MAX_GRID_POINTS}")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("grid must be strictly increasing (no duplicates)")
     v = np.asarray(_as_callable(f)(x), dtype=float)
+
+    if order == 1:
+        q = np.abs(np.diff(v)) / dx
+        k = int(np.argmax(q))
+        if not q[k] > 0.0:
+            return HolderEstimate(order=order, constant=0.0, witness=None)
+        return HolderEstimate(order=order, constant=float(q[k]),
+                              witness=(float(x[k]), float(x[k + 1])))
 
     best = 0.0
     wit = None
@@ -109,24 +128,13 @@ def lipschitz_from_derivative(f, grid):
 
 
 def restricted_lipschitz(f, kset, grid_step):
-    """Order-1 estimate over pairs drawn from a grid covering an
-    IntervalSet.  Component endpoints are always in the grid.  An empty
-    set gives the zero estimate with no witness.  An oversized grid keeps
-    every endpoint and fills the rest of the pairwise cap with evenly
-    spaced grid points; a set with more endpoints than the cap is refused.
+    """Order-1 estimate over all pairs of a grid covering an IntervalSet.
+    Component endpoints are always in the grid.  An empty set gives the
+    zero estimate with no witness.
     """
     grid = kset.sample_grid(grid_step)
     if grid.size < 2:
         return HolderEstimate(order=1.0, constant=0.0, witness=None)
-    if grid.size > MAX_GRID_POINTS:
-        endpoints = np.unique([float(x) for p in kset.parts for x in (p.lo, p.hi)])
-        if endpoints.size > MAX_GRID_POINTS:
-            raise ValueError(f"the set has {endpoints.size} distinct endpoints, "
-                             f"more than the grid cap {MAX_GRID_POINTS}")
-        rest = np.setdiff1d(grid, endpoints, assume_unique=True)
-        fill = MAX_GRID_POINTS - endpoints.size
-        keep = np.unique(np.linspace(0, rest.size - 1, fill).astype(int))
-        grid = np.union1d(endpoints, rest[keep])
     return holder_constant(f, 1.0, grid)
 
 
@@ -159,9 +167,7 @@ def _sawtooth_deriv(x):
     return np.where(s == 0, 1.0, s)
 
 
-_SAW_HALF_HOLDER = None
-
-
+@lru_cache(maxsize=1)
 def sawtooth_half_holder_constant():
     """Order-1/2 constant of the sawtooth, measured once on a fine grid.
 
@@ -169,11 +175,8 @@ def sawtooth_half_holder_constant():
     we derive it rather than hardcode it so the perturbation scaling below
     stays honest if the profile ever changes.
     """
-    global _SAW_HALF_HOLDER
-    if _SAW_HALF_HOLDER is None:
-        grid = np.linspace(-0.5, 0.5, 2001)
-        _SAW_HALF_HOLDER = holder_constant(sawtooth, 0.5, grid).constant
-    return _SAW_HALF_HOLDER
+    grid = np.linspace(-0.5, 0.5, 2001)
+    return holder_constant(sawtooth, 0.5, grid).constant
 
 
 def sawtooth_perturb(f0, n, H, eps1):

@@ -135,11 +135,6 @@ class SpeedProfile:
         return 4.0 * math.pi * self.eps * self.cycles
 
     @property
-    def holder_budget(self):
-        """Claimed order-alpha constant of c - c0: eps1 * H."""
-        return self.eps1 * self.H
-
-    @property
     def lipschitz_bound(self):
         """m^3 lam (16 eps + 12 sqrt(3) eps^2) bounds |c'|."""
         e = self.eps
@@ -218,10 +213,6 @@ def log_initial_amplitude(lam, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     lam = np.asarray(lam, dtype=float)
     return -(1.0 + lam ** (1.0 / beta)) * np.log1p(lam)
-
-
-def initial_amplitude(lam, beta):
-    return np.exp(log_initial_amplitude(lam, beta))
 
 
 @dataclass(frozen=True)
@@ -448,11 +439,6 @@ class BlowupReport:
     slope_model: float
     slope_rel_err: float
     terms_increasing: bool
-
-    @property
-    def term_increments(self):
-        tm = [r.term_measured for r in self.rows]
-        return tuple(b - a for a, b in zip(tm, tm[1:]))
 
 
 def blowup_demo(alpha=0.5, beta=4.0, ultra_order=4.0, ultra_radius=2.0,

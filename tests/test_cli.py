@@ -212,6 +212,13 @@ class TestTransportCommand:
         lbs = [float(r[10]) for r in rows]
         assert all(b > 0 for b in lbs)
 
+    def test_base_measurements_are_taken_once_per_sweep(self, tmp_path):
+        cli._base_measurements.cache_clear()
+        out = str(tmp_path / "t.csv")
+        assert run(["transport", "--csv", out, "--sweep", "n=1..3"]) == 0
+        info = cli._base_measurements.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (2, 1, 4)
+
     def test_csv_same_with_stage_velocity_cache_cold_and_warm(self, tmp_path):
         cfg = write_cfg(tmp_path, "transport.stage_min = 4\n"
                                   "transport.stage_max = 4\n"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cexlab import holder
 from cexlab.holder import (Fn1D, MAX_GRID_POINTS, check_derivative_consistency,
@@ -12,6 +12,42 @@ from cexlab.holder import (Fn1D, MAX_GRID_POINTS, check_derivative_consistency,
                            restricted_lipschitz, sawtooth,
                            sawtooth_half_holder_constant, sawtooth_perturb)
 from cexlab.intervals import DyadicFamily, IntervalSet, build_kn
+
+
+def _pair_scan(x, v, order, chunk=256):
+    """The brute-force sup over all pairs, with no grid cap: the chunked
+    scan holder_constant runs below order 1, taken at any order."""
+    best, wit = 0.0, None
+    n = x.size
+    for i0 in range(0, n - 1, chunk):
+        i1 = min(i0 + chunk, n - 1)
+        d = x[None, i0 + 1:] - x[i0:i1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.abs(v[None, i0 + 1:] - v[i0:i1, None]) / d ** order
+        q[d <= 0] = -np.inf
+        k = int(np.argmax(q))
+        if q.flat[k] > best:
+            best = float(q.flat[k])
+            ii, jj = divmod(k, q.shape[1])
+            wit = (float(x[i0 + ii]), float(x[i0 + 1 + jj]))
+    return best, wit
+
+
+@st.composite
+def increasing_grids(draw):
+    """Strictly increasing grids whose gaps spread over nine decades, so
+    points cluster, around offsets up to 1e8."""
+    exps = draw(st.lists(st.floats(min_value=-9.0, max_value=0.0),
+                         min_size=1, max_size=300))
+    offset = draw(st.sampled_from([0.0, -3.7, 1e8]))
+    x = np.unique(offset + np.cumsum([0.0] + [10.0 ** e for e in exps]))
+    assume(x.size >= 2)
+    return x
+
+
+CURVED = {"sin": np.sin, "gauss": lambda x: np.exp(-x * x),
+          "fast sin": lambda x: np.sin(40.0 * x)}
+STRAIGHT = {"line": lambda x: 3.0 * x + 0.1, "abs": lambda x: np.abs(x + 3.0)}
 
 
 class TestHolderConstant:
@@ -47,6 +83,37 @@ class TestHolderConstant:
             holder_constant(np.sqrt, 0.5, [0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="cap"):
             holder_constant(np.sqrt, 0.5, np.linspace(0, 1, MAX_GRID_POINTS + 1))
+        # the cap bounds the order < 1 pair scan only
+        est = holder_constant(np.sin, 1.0,
+                              np.linspace(0, 1, MAX_GRID_POINTS + 1))
+        assert 0.99 <= est.constant <= 1.0
+
+    @given(increasing_grids(), st.sampled_from(sorted(CURVED)))
+    @settings(max_examples=200, deadline=None)
+    def test_order_one_matches_the_pair_scan(self, x, name):
+        f = CURVED[name]
+        est = holder_constant(f, 1.0, x)
+        assert (est.constant, est.witness) == _pair_scan(x, f(x), 1.0)
+
+    @given(increasing_grids(), st.sampled_from(sorted(STRAIGHT)))
+    @settings(max_examples=200, deadline=None)
+    @example(x=np.array([0.0, 0.005743733325686776, 0.07477702684818782]),
+             name="line")
+    @example(x=np.array([0.0, 1.0, 1.218697465500947, 1.250320242102631,
+                         2.2503202421026307]), name="abs")
+    def test_order_one_on_straight_pieces_is_within_roundings_of_the_scan(
+            self, x, name):
+        # on collinear points a chord can round above every neighbouring
+        # slope, and ties can put the scan's witness on a longer chord
+        f = STRAIGHT[name]
+        est = holder_constant(f, 1.0, x)
+        scan, _ = _pair_scan(x, f(x), 1.0)
+        assert 0.0 <= scan - est.constant <= 4 * np.finfo(float).eps * scan
+        if est.witness is not None:
+            a, b = est.witness
+            k = int(np.searchsorted(x, a))
+            assert (x[k], x[k + 1]) == (a, b)
+            assert abs(f(b) - f(a)) / (b - a) == est.constant
 
     def test_refinement_is_monotone(self):
         f = lambda x: np.sqrt(np.abs(x - 0.3))
@@ -135,26 +202,30 @@ class TestRestrictedLipschitz:
                                    1e-4)
         assert est.constant == pytest.approx(1.0, rel=1e-9)
 
-    def test_thinning_keeps_endpoints_within_the_cap(self, monkeypatch):
-        # 576 components: thinning the 4480-point grid to the cap and then
-        # adding the endpoints back used to give 4191 points
+    def test_whole_grid_is_measured(self, monkeypatch):
+        # 576 components on a 4480-point grid, more than the order < 1 cap
         kset = build_kn(DyadicFamily(0.2, 1.5, 1), 4, 10)
-        sizes = []
+        grids = []
 
         def measured(f, order, grid):
-            sizes.append(np.asarray(grid).size)
-            assert set(float(x) for p in kset.parts for x in (p.lo, p.hi)) <= set(grid)
+            grids.append(np.asarray(grid))
             return holder_constant(f, order, grid)
 
         monkeypatch.setattr(holder, "holder_constant", measured)
         est = restricted_lipschitz(np.sin, kset, 1e-4)
-        assert sizes and sizes[0] <= MAX_GRID_POINTS
-        assert 0.9 <= est.constant <= 1.0
+        full = kset.sample_grid(1e-4)
+        assert full.size == 4480
+        assert len(grids) == 1 and np.array_equal(grids[0], full)
+        assert set(float(x) for p in kset.parts for x in (p.lo, p.hi)) <= set(full)
+        assert (est.constant, est.witness) == _pair_scan(full, np.sin(full), 1.0)
 
-    def test_too_many_endpoints_is_refused(self):
+    def test_many_components_are_measured(self):
+        # 2049 components: 4098 endpoints, more than the order < 1 cap
         pairs = [(3.0 * i, 3.0 * i + 1.0) for i in range(MAX_GRID_POINTS // 2 + 1)]
-        with pytest.raises(ValueError, match="endpoints"):
-            restricted_lipschitz(np.sin, IntervalSet.from_pairs(pairs), 0.5)
+        kset = IntervalSet.from_pairs(pairs)
+        est = restricted_lipschitz(np.sin, kset, 0.5)
+        grid = kset.sample_grid(0.5)
+        assert (est.constant, est.witness) == _pair_scan(grid, np.sin(grid), 1.0)
 
 
 class TestSawtooth:
@@ -168,6 +239,15 @@ class TestSawtooth:
 
     def test_half_order_constant(self):
         assert abs(sawtooth_half_holder_constant() - math.sqrt(0.5)) < 1e-3
+
+    def test_half_order_constant_is_measured_once(self):
+        sawtooth_half_holder_constant.cache_clear()
+        first = sawtooth_half_holder_constant()
+        assert sawtooth_half_holder_constant() == first
+        info = sawtooth_half_holder_constant.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        grid = np.linspace(-0.5, 0.5, 2001)
+        assert first == holder_constant(sawtooth, 0.5, grid).constant
 
 
 class TestSawtoothPerturb:

@@ -70,6 +70,20 @@ class TestGradientBudgetScan:
         b = schedule_budget(default_schedule(), p_points=4001)
         assert b.value == pytest.approx(a.value, rel=1e-9)
 
+    @pytest.mark.parametrize("p_points", [2001, 4001])
+    def test_matches_the_stage_by_stage_scan(self, p_points):
+        # the scan one stage at a time, keeping the first strict maximum
+        sch, d, n_max = default_schedule(), 2, 400
+        p = np.logspace(0.0, 4.0, p_points)
+        best, bn, bp = -math.inf, 0, 0.0
+        for n in range(1, n_max + 1):
+            vals = n * n * sch.lam(n) ** (d / p) / p ** 4
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, bn, bp = float(vals[i]), n, float(p[i])
+        scan = schedule_budget(sch, d=d, n_max=n_max, p_points=p_points)
+        assert (scan.value, scan.n_star, scan.p_star) == (best, bn, bp)
+
 
 class TestMixer:
     def test_validation(self):
@@ -282,6 +296,24 @@ class TestAdvection:
                               box=BOX)
         with pytest.raises(ValueError, match="grid does not match"):
             advect(th, small, 0.0, 1.0, 0.1)
+
+    def test_sup_speed_is_taken_once_per_pair_of_fields(self, monkeypatch):
+        n = 64
+        th = self.blob(n)
+        u = np.full((n, n), 0.1)
+        a = VectorField2D(u=u, v=0 * u, box=BOX)
+        b = VectorField2D(u=0 * u, v=u, box=BOX)
+        calls = []
+        sup_speed = VectorField2D.sup_speed.fget
+        monkeypatch.setattr(VectorField2D, "sup_speed", property(
+            lambda f: calls.append(f) or sup_speed(f)))
+        advect(th, a, 0.0, 1.0, 0.1)
+        assert calls == [a]
+        calls.clear()
+        # a switches to b at t = 0.42, mid-step: the samples of the steps
+        # are (a, a) four times, then (a, b), then (b, b) five times
+        advect(th, lambda t: a if t < 0.42 else b, 0.0, 1.0, 0.1)
+        assert calls == [a, a, b, b]
 
     def test_zero_velocity_is_identity(self):
         th = self.blob()
