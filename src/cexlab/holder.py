@@ -67,12 +67,13 @@ def _as_callable(f):
 def holder_constant(f, order, grid):
     """Sup of the order-Hoelder quotient over all pairs of grid points.
 
-    The grid must be strictly increasing; duplicated points would make
-    the quotient 0/0 and are rejected.  Order 1 takes the sup over
-    neighbouring pairs, which is the sup over all pairs on any such grid,
-    and accepts a grid of any size.  Orders below 1 allow at most
-    MAX_GRID_POINTS entries and scan all pairs in chunks, to keep the
-    N^2 distance matrix off the heap.
+    The grid must be finite and strictly increasing; duplicated points
+    would make the quotient 0/0 and are rejected.  A non-finite value of
+    f on the grid raises ValueError, since the sup would pass over it.
+    Order 1 takes the sup over neighbouring pairs, which is the sup over
+    all pairs on any such grid, and accepts a grid of any size.  Orders
+    below 1 allow at most MAX_GRID_POINTS entries and scan all pairs in
+    chunks, to keep the N^2 distance matrix off the heap.
     """
     if not 0 < order <= 1:
         raise ValueError(f"order must be in (0, 1], got {order}")
@@ -81,10 +82,19 @@ def holder_constant(f, order, grid):
         raise ValueError("grid must be one-dimensional with at least 2 points")
     if order < 1 and x.size > MAX_GRID_POINTS:
         raise ValueError(f"grid has {x.size} points, cap is {MAX_GRID_POINTS}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("grid points must be finite")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("grid must be strictly increasing (no duplicates)")
     v = np.asarray(_as_callable(f)(x), dtype=float)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        # a NaN compares false with everything, so the sup would skip it
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"f is not finite at {int(bad.sum())} of {x.size} grid points, "
+            f"first f({x[i]!r}) = {v[i]!r}")
 
     if order == 1:
         q = np.abs(np.diff(v)) / dx

@@ -17,6 +17,13 @@ Lipschitz speed bound forces on the energy of any solution.
 All growth accounting is done in log space; initial amplitudes are tiny
 (below e^-300 for the largest modes) and final ones huge, so the mode is
 integrated with unit initial slope and its true size carried as a log.
+
+The mode is checked against the closed form, not built from it: the ODE
+solver integrates the fundamental matrix over one speed period
+pi/(m lam), the pumping window follows from powers of its monodromy
+matrix, and the constant-speed tail from the exact sinusoidal flow.
+That costs a few hundred right-hand-side calls per mode, whatever the
+number of cycles or the length of the tail.
 """
 
 from __future__ import annotations
@@ -165,14 +172,17 @@ def build_speed_profile(m, lam, alpha, eps1, H, delta, hgamma=None):
     in hgamma, uniformly in lam.  Fails if eps reaches the positivity
     cap or if the horizon is shorter than one cycle.
     """
-    if m < 1:
+    if not (float(m).is_integer() and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m}")
-    if lam <= 0 or delta <= 0 or eps1 <= 0 or H <= 0:
-        raise ValueError("lam, delta, eps1 and H must all be positive")
+    m = int(m)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if hgamma is None:
         hgamma = gamma_holder_coefficient(alpha)
+    for name, value in (("lam", lam), ("delta", delta), ("eps1", eps1),
+                        ("H", H), ("hgamma", hgamma)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     eps = eps1 * H / (m ** (alpha + 2.0) * hgamma) * lam ** (-alpha)
     if eps >= EPS_CAP:
         raise ValueError(
@@ -209,7 +219,7 @@ def log_initial_amplitude(lam, beta):
     beta with squared tail (1+lam)^-2, while any fixed larger weight
     still loses to it.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     lam = np.asarray(lam, dtype=float)
     return -(1.0 + lam ** (1.0 / beta)) * np.log1p(lam)
@@ -220,13 +230,15 @@ class ModeSolution:
     """Integrated mode with unit initial slope: v(0) = 0, v'(0) = 1.
 
     The physical amplitude is exp(log_v1) times this; keeping it as a
-    log avoids underflow at large lam.
+    log avoids underflow at large lam.  nfev counts the right-hand-side
+    calls the solver made.
     """
 
     profile: SpeedProfile
     t: np.ndarray
     v: np.ndarray
     vp: np.ndarray
+    nfev: int
 
     @property
     def scale(self):
@@ -262,32 +274,82 @@ class ModeSolution:
 
 def integrate_mode(profile, t_final=None, rtol=1e-10, atol=1e-290,
                    points_per_cycle=12, method="DOP853"):
-    """Integrate v'' + lam^2 c(t) v = 0 with v(0) = 0, v'(0) = 1.
+    """Solve v'' + lam^2 c(t) v = 0 with v(0) = 0, v'(0) = 1.
 
     The output grid is uniform with at least points_per_cycle samples
-    per modulation cycle and always contains delta_n exactly.  atol is
-    kept vanishingly small so the error control is effectively relative;
-    an exact zero would poison the solver's initial step heuristic.
+    per modulation cycle and always contains delta_n exactly.
+
+    Only one speed period T = pi/(m lam) is integrated numerically: the
+    solver carries the 2x2 fundamental matrix Phi from the identity
+    over [0, T] with dense output.  The speed is T-periodic up to
+    delta_n, so a pumped point t = k T + s is Phi(s) M^k (0, 1) with the
+    monodromy M = Phi(T), whose powers are 2 cycles repeated 2x2
+    products.  Past delta_n the speed is frozen at c(delta_n), and the
+    constant-speed flow is exact: v cos(w s) + (v'/w) sin(w s) with
+    w = lam sqrt(c(delta_n)) and s = t - delta_n.
+
+    rtol, atol and method go to the solver.  atol stays vanishingly
+    small so the error control is relative in every entry of Phi, whose
+    scales span a factor (m lam)^2.  first_step is set to 1/32 of the
+    period because two entries of Phi start at exactly zero, which
+    would poison the solver's initial step heuristic.
     """
     if t_final is None:
         t_final = profile.delta
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < profile.delta_n:
         raise ValueError("t_final must reach past the pumping window")
-    lam2 = profile.lam * profile.lam
-    cycle = 2.0 * math.pi / (profile.m * profile.lam)
+    mlam = profile.m * profile.lam
+    lam2c0 = profile.lam * profile.lam * profile.c0
+    eps = profile.eps
+    period = math.pi / mlam
 
     def rhs(t, y):
-        return (y[1], -lam2 * profile.speed(t) * y[0])
+        tau = mlam * t
+        s = math.sin(tau)
+        k = -lam2c0 * (1.0 - 16.0 * eps * eps * s ** 4
+                       - 8.0 * eps * math.sin(2.0 * tau))
+        return (y[1], k * y[0], y[3], k * y[2])
 
-    n = max(2049, int(points_per_cycle * t_final / cycle) + 2)
-    t_eval = np.union1d(np.linspace(0.0, t_final, n),
-                        np.array([profile.delta_n]))
-    sol = solve_ivp(rhs, (0.0, t_final), (0.0, 1.0), method=method,
-                    t_eval=t_eval, rtol=rtol, atol=atol,
-                    first_step=cycle / 64.0, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, period), (1.0, 0.0, 0.0, 1.0), method=method,
+                    rtol=rtol, atol=atol, first_step=period / 32.0,
+                    dense_output=True)
     if not sol.success:
         raise IntegrationError(f"mode integration failed: {sol.message}")
-    return ModeSolution(profile=profile, t=sol.t, v=sol.y[0], vp=sol.y[1])
+
+    n = max(2049, int(points_per_cycle * t_final / (2.0 * period)) + 2)
+    t = np.union1d(np.linspace(0.0, t_final, n),
+                   np.array([profile.delta_n]))
+    pump = t <= profile.delta_n
+    n_periods = 2 * profile.cycles
+
+    # states at the period starts: M^k (0, 1) for k = 0 .. 2 cycles
+    m00, m10, m01, m11 = sol.y[:, -1]
+    a, b = 0.0, 1.0
+    starts = [(a, b)]
+    for _ in range(n_periods):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        starts.append((a, b))
+    starts = np.array(starts)
+
+    tp = t[pump]
+    k = np.minimum(np.floor(tp / period).astype(int), n_periods)
+    phi = sol.sol(np.clip(tp - k * period, 0.0, period))
+    a, b = starts[k, 0], starts[k, 1]
+    v = np.empty_like(t)
+    vp = np.empty_like(t)
+    v[pump] = phi[0] * a + phi[2] * b
+    vp[pump] = phi[1] * a + phi[3] * b
+
+    tail = ~pump
+    i = int(np.searchsorted(t, profile.delta_n))
+    omega = profile.lam * math.sqrt(float(profile.speed(profile.delta_n)))
+    phase = omega * (t[tail] - profile.delta_n)
+    cos, sin = np.cos(phase), np.sin(phase)
+    v[tail] = v[i] * cos + (vp[i] / omega) * sin
+    vp[tail] = vp[i] * cos - (v[i] * omega) * sin
+    return ModeSolution(profile=profile, t=t, v=v, vp=vp, nfev=int(sol.nfev))
 
 
 def closed_form_mode(profile, t):
@@ -326,10 +388,10 @@ class EnergyBounds:
     L: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu1 <= self.mu2:
-            raise ValueError(f"need 0 < mu1 <= mu2, got mu1={self.mu1}, mu2={self.mu2}")
-        if self.L < 0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
+        if not 0.0 < self.mu1 <= self.mu2 < math.inf:
+            raise ValueError(f"need 0 < mu1 <= mu2 < inf, got mu1={self.mu1}, mu2={self.mu2}")
+        if not 0.0 <= self.L < math.inf:
+            raise ValueError(f"L must be nonnegative and finite, got {self.L}")
 
     @property
     def mu3(self):
@@ -459,7 +521,7 @@ def blowup_demo(alpha=0.5, beta=4.0, ultra_order=4.0, ultra_radius=2.0,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     need = 1.0 / (1.0 - alpha)
-    if beta <= need or ultra_order <= need:
+    if not (beta > need and ultra_order > need):
         raise ValueError(
             "growth cannot beat the weights: need beta and the weight "
             f"order above 1/(1-alpha) = {need:.6g}, got beta={beta}, "

@@ -198,6 +198,18 @@ class TestWaveCommand:
             # the energy stays above the flux-based lower bound
             assert all(e >= b - 1e-6 for e, b in zip(logs, bounds))
 
+    def test_default_config_passes_every_check_and_is_reproducible(
+            self, tmp_path):
+        _, checks, _ = cli.run_wave(cli.effective_config({}))
+        assert "constant-speed tail conserves the flux" in dict(checks)
+        assert [name for name, ok in checks if not ok] == []
+        csvs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert run(["wave", "--csv", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
 
 class TestTransportCommand:
     def test_scaling_mode_sweep(self, tmp_path):

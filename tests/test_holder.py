@@ -81,12 +81,26 @@ class TestHolderConstant:
             holder_constant(np.sqrt, 0.5, [1.0])
         with pytest.raises(ValueError, match="increasing"):
             holder_constant(np.sqrt, 0.5, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            holder_constant(np.sin, 1.0, [0.0, math.nan, 1.0])
         with pytest.raises(ValueError, match="cap"):
             holder_constant(np.sqrt, 0.5, np.linspace(0, 1, MAX_GRID_POINTS + 1))
         # the cap bounds the order < 1 pair scan only
         est = holder_constant(np.sin, 1.0,
                               np.linspace(0, 1, MAX_GRID_POINTS + 1))
         assert 0.99 <= est.constant <= 1.0
+
+    @pytest.mark.parametrize("f, order, grid", [
+        (np.sqrt, 1.0, [-1.0, 0.0, 1.0]),
+        (np.sqrt, 0.5, [-1.0, 0.0, 1.0, 4.0]),
+        (lambda x: np.where(x > 0.5, np.nan, x), 1.0, np.linspace(0, 1, 11)),
+        (lambda x: np.where(x > 0.9, np.nan, x), 0.5, np.linspace(0, 1, 601)),
+    ])
+    def test_non_finite_values_are_rejected(self, f, order, grid):
+        # each of these used to give constant 0.0 with no witness
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"f is not finite at \d+ "):
+                holder_constant(f, order, grid)
 
     @given(increasing_grids(), st.sampled_from(sorted(CURVED)))
     @settings(max_examples=200, deadline=None)

@@ -18,9 +18,59 @@ from cexlab.wavegrowth import (EPS_CAP, EnergyBounds, blowup_demo,
 
 DEMO = dict(m=12, alpha=0.5, eps1=0.5, H=4200.0, delta=0.49)
 
+# (m, lambda exponents, t_final) of the wave-ladder benchmark's modes
+BENCH_SHAPES = (
+    (8, (3, 4, 5), 1.5),
+    (10, (3, 4), 2.0),
+    (12, (4, 5), 1.25),
+    (6, (4, 5, 6), 1.0),
+    (14, (3, 4), 1.0),
+)
+
 
 def demo_profile(lam):
     return build_speed_profile(lam=lam, **DEMO)
+
+
+def bench_modes():
+    """(profile, t_final) for every benchmark mode, with H at 0.6 of the
+    positivity cap of the shape's lowest mode, and demo_profile(32.0)."""
+    hg = gamma_holder_coefficient(0.5)
+    modes = []
+    for m, exps, t_final in BENCH_SHAPES:
+        H = 0.6 * EPS_CAP * m ** 2.5 * hg * 2.0 ** (0.5 * exps[0]) / 0.5
+        modes += [(build_speed_profile(m, 2.0 ** j, 0.5, 0.5, H, 0.49,
+                                       hgamma=hg), t_final) for j in exps]
+    return modes + [(demo_profile(32.0), None)]
+
+
+def step_by_step_mode(profile, t_final=None, rtol=1e-10, atol=1e-290,
+                      points_per_cycle=12, method="DOP853"):
+    """Reference integrator: the solver steps v'' + lam^2 c(t) v = 0
+    over the whole horizon, the constant-speed tail included.  Returns
+    the solver result, evaluated on integrate_mode's output grid."""
+    if t_final is None:
+        t_final = profile.delta
+    lam2 = profile.lam * profile.lam
+    cycle = 2.0 * math.pi / (profile.m * profile.lam)
+
+    def rhs(t, y):
+        return (y[1], -lam2 * profile.speed(t) * y[0])
+
+    n = max(2049, int(points_per_cycle * t_final / cycle) + 2)
+    t_eval = np.union1d(np.linspace(0.0, t_final, n),
+                        np.array([profile.delta_n]))
+    sol = solve_ivp(rhs, (0.0, t_final), (0.0, 1.0), method=method,
+                    t_eval=t_eval, rtol=rtol, atol=atol,
+                    first_step=cycle / 64.0, dense_output=False)
+    assert sol.success
+    return sol
+
+
+def tail_flux_spread(sol):
+    tail = np.nonzero(sol.t > sol.profile.delta_n)[0]
+    flux = [sol.log_flux(i) for i in tail]
+    return max(flux) - min(flux)
 
 
 class TestClosedForms:
@@ -97,6 +147,17 @@ class TestSpeedProfile:
             build_speed_profile(m=1, lam=1.0, alpha=0.5, eps1=0.5,
                                 H=1.0, delta=0.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lam", math.inf), ("lam", math.nan), ("delta", math.inf),
+        ("H", math.nan), ("eps1", math.nan), ("m", 8.5), ("m", math.nan),
+        ("hgamma", math.nan)])
+    def test_non_finite_and_fractional_inputs_name_the_parameter(
+            self, name, value):
+        args = dict(DEMO, lam=32.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            build_speed_profile(**args)
+
     def test_modulation_scales_with_frequency(self):
         profs = [demo_profile(float(2 ** j)) for j in range(4, 10)]
         products = [p.eps * p.lam ** 0.5 for p in profs]
@@ -133,8 +194,9 @@ class TestSpeedProfile:
     def test_initial_amplitude_closed_form(self):
         assert float(log_initial_amplitude(16.0, 4.0)) \
             == pytest.approx(-3.0 * math.log(17.0), rel=1e-15)
-        with pytest.raises(ValueError, match="beta"):
-            log_initial_amplitude(16.0, 0.0)
+        for beta in (0.0, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                log_initial_amplitude(16.0, beta)
 
 
 class TestIntegration:
@@ -153,6 +215,49 @@ class TestIntegration:
         p = demo_profile(32.0)
         with pytest.raises(ValueError, match="past the pumping window"):
             integrate_mode(p, t_final=p.delta_n / 2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_final must be finite"):
+                integrate_mode(p, t_final=bad)
+
+    @pytest.mark.parametrize("profile, t_final", [
+        pytest.param(p, t, id=f"m={p.m},lam={p.lam:g},t_final={t}")
+        for p, t in bench_modes()])
+    def test_matches_the_step_by_step_oracle(self, profile, t_final):
+        sol = integrate_mode(profile, t_final=t_final)
+        ref = step_by_step_mode(profile, t_final=t_final)
+        assert np.array_equal(sol.t, ref.t)
+        scale = math.exp(profile.g)
+        assert np.max(np.abs(sol.v - ref.y[0])) <= 1e-8 * scale
+        assert np.max(np.abs(sol.vp - ref.y[1])) <= 1e-8 * scale
+        if t_final is not None:
+            # the exact tail flow conserves the flux to rounding; the
+            # integrated tail drifted by up to 1e-6
+            assert tail_flux_spread(sol) <= 1e-12
+
+    def test_solver_calls_are_recorded_and_a_tenth_of_the_oracle(self):
+        profile, t_final = bench_modes()[2]  # m = 8, lam = 32, t_final 1.5
+        sol = integrate_mode(profile, t_final=t_final)
+        ref = step_by_step_mode(profile, t_final=t_final)
+        assert 0 < sol.nfev <= ref.nfev / 10
+
+    def test_horizon_may_end_with_the_pump(self):
+        p = demo_profile(32.0)
+        sol = integrate_mode(p, t_final=p.delta_n)
+        assert sol.t[-1] == p.delta_n
+        assert sol.pump_end_index == sol.t.size - 1
+        v_cf, vp_cf = closed_form_mode(p, sol.t)
+        scale = math.exp(p.g)
+        assert np.max(np.abs(sol.v - v_cf)) <= 1e-8 * scale
+        assert np.max(np.abs(sol.vp - vp_cf)) <= 1e-8 * scale
+
+    def test_long_tail_matches_closed_form(self):
+        p = demo_profile(2048.0)
+        sol = integrate_mode(p, t_final=2.0)
+        tail = sol.t > p.delta_n
+        v_cf, vp_cf = closed_form_mode(p, sol.t[tail])
+        scale = math.exp(p.g)
+        assert np.max(np.abs(sol.v[tail] - v_cf)) <= 2e-8 * scale
+        assert np.max(np.abs(sol.vp[tail] - vp_cf)) <= 2e-8 * scale
 
     def test_tolerance_convergence(self):
         p = demo_profile(32.0)
@@ -220,8 +325,12 @@ class TestEnergyEnvelope:
             EnergyBounds(0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="mu1"):
             EnergyBounds(2.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="L must"):
-            EnergyBounds(1.0, 2.0, -1.0)
+        for L in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="L must"):
+                EnergyBounds(1.0, 2.0, L)
+        for mu2 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu2"):
+                EnergyBounds(1.0, mu2, 0.0)
 
 
 class TestGrowthDemo:
