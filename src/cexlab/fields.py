@@ -10,6 +10,12 @@ k = 2 pi * fftfreq / dx,
 the zero mode excluded (for s < 0 it would be infinite, and the
 homogeneous norm ignores the mean anyway).  A pure mode e^(ikx) then has
 norm |k|^s L, and s = 0 recovers the L^2 norm of mean-free fields.
+
+Derivatives take real FFTs (rfft2 / irfft2), since every field here is
+real.  The Nyquist wavenumber of an odd derivative is set to zero: its
+mode e^(i pi x/dx) is its own conjugate, so i k times it has no real
+part, and only with that wavenumber zeroed is the product the spectrum
+of a real field.
 """
 
 from __future__ import annotations
@@ -146,13 +152,35 @@ def l2_norm(field):
     return math.sqrt(float(np.sum(field.values ** 2)) * field.dx ** 2)
 
 
+def _derivative_wavenumbers(n, dx):
+    """Wavenumbers of an rfft2 spectrum as (kx column, ky row): axis 0
+    full, axis 1 halved, each with its Nyquist entry zeroed."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    ky = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+    kx[n // 2] = 0.0
+    ky[n // 2] = 0.0
+    return kx[:, None], ky[None, :]
+
+
 def gradient(field):
-    """Spectral gradient, returned as two sample arrays (f_x, f_y)."""
-    fh = np.fft.fft2(field.values)
-    kx, ky = _wavenumbers(field.n, field.dx)
-    fx = np.real(np.fft.ifft2(1j * kx * fh))
-    fy = np.real(np.fft.ifft2(1j * ky * fh))
+    """Spectral gradient, returned as two sample arrays (f_x, f_y).
+
+    Taken with real FFTs; the Nyquist wavenumber of each derivative is
+    zero, so a checkerboard has zero gradient.
+    """
+    n = field.n
+    fh = np.fft.rfft2(field.values)
+    kx, ky = _derivative_wavenumbers(n, field.dx)
+    fx = np.fft.irfft2(1j * kx * fh, s=(n, n))
+    fy = np.fft.irfft2(1j * ky * fh, s=(n, n))
     return fx, fy
+
+
+def jacobian(vfield):
+    """Spectral velocity gradient (u_x, u_y, v_x, v_y) as sample arrays."""
+    ux, uy = gradient(ScalarField2D(values=vfield.u, box=vfield.box))
+    vx, vy = gradient(ScalarField2D(values=vfield.v, box=vfield.box))
+    return ux, uy, vx, vy
 
 
 def w1p_seminorm(field, p):
@@ -171,23 +199,28 @@ def w1p_norm(vfield, p):
 
 def w1p_norms(vfield, ps):
     """w1p_norm for every p in ps, from one Jacobian of the field."""
+    return jacobian_norms(jacobian(vfield), vfield.dx, ps)
+
+
+def jacobian_norms(jac, dx, ps):
+    """L^p norms, one per p in ps, of the pointwise Frobenius norm of a
+    Jacobian (u_x, u_y, v_x, v_y) sampled with spacing dx."""
     ps = tuple(ps)
     for p in ps:
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
-    ux, uy = gradient(ScalarField2D(values=vfield.u, box=vfield.box))
-    vx, vy = gradient(ScalarField2D(values=vfield.v, box=vfield.box))
-    jac = np.sqrt(ux * ux + uy * uy + vx * vx + vy * vy)
-    area = vfield.dx ** 2
-    return [float(np.sum(jac ** p) * area) ** (1.0 / p) for p in ps]
+    ux, uy, vx, vy = jac
+    mag = np.sqrt(ux * ux + uy * uy + vx * vx + vy * vy)
+    area = dx ** 2
+    return [float(np.sum(mag ** p) * area) ** (1.0 / p) for p in ps]
 
 
 def spectral_divergence(vfield):
     """div(u, v) by spectral differentiation, as a sample array."""
-    uh = np.fft.fft2(vfield.u)
-    vh = np.fft.fft2(vfield.v)
-    kx, ky = _wavenumbers(vfield.n, vfield.dx)
-    return np.real(np.fft.ifft2(1j * (kx * uh + ky * vh)))
+    n = vfield.n
+    kx, ky = _derivative_wavenumbers(n, vfield.dx)
+    dh = kx * np.fft.rfft2(vfield.u) + ky * np.fft.rfft2(vfield.v)
+    return np.fft.irfft2(1j * dh, s=(n, n))
 
 
 def spectral_tail_fraction(field, cut=2.0 / 3.0):

@@ -16,9 +16,11 @@ gate is an accuracy constraint, not a stability one.
 
 A stage velocity only changes when its mixer switches direction, so
 stage_velocity builds it once per (mixer, stage, half period, grid,
-box) and hands every caller the same field, with read-only arrays.  The
-gradient budget of a field is measured with fields.w1p_norms, which
-takes the velocity Jacobian once for all exponents.
+box) and hands every caller the same field, with read-only arrays.
+advect keeps the backtrace foot while the two velocity samples of its
+steps are the same pair of field objects, so only the tracer resample
+runs at every step.  check_admissible takes the gradient budget for all
+exponents and the divergence from one velocity Jacobian.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 from .fields import (ScalarField2D, VectorField2D, gradient, hs_norm,
-                     l2_norm, modulated_blob, spectral_divergence,
+                     jacobian, jacobian_norms, l2_norm, modulated_blob,
                      spectral_tail_fraction, w1p_norms)
 
 
@@ -196,6 +198,8 @@ def check_admissible(vfield, support_radius=1.0,
     * V3: the L^p norm of the full velocity gradient stays below p^4
       for every tested exponent;
     * V4: spectral divergence at machine level.
+
+    V3 and V4 share one spectral Jacobian: the divergence is u_x + v_y.
     """
     speed = vfield.speed()
     sup = float(np.max(speed))
@@ -206,16 +210,17 @@ def check_admissible(vfield, support_radius=1.0,
     support_ok = out_speed <= support_tol * max(sup, 1e-300)
     sup_ok = sup <= 1.0 + 1e-12
 
+    jac = jacobian(vfield)
     worst_p, worst_ratio = 0.0, 0.0
     p_values = tuple(p_values)
-    for p, norm in zip(p_values, w1p_norms(vfield, p_values)):
+    for p, norm in zip(p_values, jacobian_norms(jac, vfield.dx, p_values)):
         ratio = norm / gradient_budget(p)
         if ratio > worst_ratio:
             worst_p, worst_ratio = p, ratio
     gradient_ok = worst_ratio <= 1.0
 
-    div = spectral_divergence(vfield)
-    max_div = float(np.max(np.abs(div)))
+    ux, _, _, vy = jac
+    max_div = float(np.max(np.abs(ux + vy)))
     if div_tol is None:
         div_tol = 1e-10 * max(sup, 1e-300) * vfield.n / vfield.box
     div_ok = max_div <= div_tol
@@ -351,9 +356,11 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
     B-splines.  The step must satisfy dt sup|u| <= cfl_safety dx, the
     sup taken over both velocity samples of the step; this keeps the
     backtrace inside a neighbouring cell, which is what the midpoint
-    sampling assumes.  The sup is taken again only when a sample is a
-    different field object from the previous step's.  A step where both
-    samples vanish is skipped.
+    sampling assumes.  The sup and the backtrace foot depend only on
+    the two samples and dt, so they are taken again only when a sample
+    is a different field object from the previous step's; a sampler
+    must therefore not change a field it has returned.  A step where
+    both samples vanish is skipped.
     """
     if t1 < t0:
         raise ValueError("need t1 >= t0")
@@ -388,21 +395,22 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
             if vh is not vf:
                 sup = max(sup, vh.sup_speed)
             pair = (vf, vh)
+            foot = None
         if sup == 0.0:
             continue
         if dt * sup > cfl_safety * dx:
             raise ValueError(
                 f"advection step too large: dt sup|u| = {dt * sup:.4g} "
                 f"exceeds {cfl_safety:.3g} dx = {cfl_safety * dx:.4g}")
-        # midpoint foot in index units
-        hx = ix - 0.5 * dt * vf.u / dx
-        hy = iy - 0.5 * dt * vf.v / dx
-        um = ndimage.map_coordinates(vh.u, [hx, hy], order=1, mode="grid-wrap")
-        vm = ndimage.map_coordinates(vh.v, [hx, hy], order=1, mode="grid-wrap")
-        bx = ix - dt * um / dx
-        by = iy - dt * vm / dx
+        if foot is None:
+            # midpoint foot in index units
+            hx = ix - 0.5 * dt * vf.u / dx
+            hy = iy - 0.5 * dt * vf.v / dx
+            um = ndimage.map_coordinates(vh.u, [hx, hy], order=1, mode="grid-wrap")
+            vm = ndimage.map_coordinates(vh.v, [hx, hy], order=1, mode="grid-wrap")
+            foot = np.array([ix - dt * um / dx, iy - dt * vm / dx])
         coeffs = ndimage.spline_filter(vals, order=3, mode="grid-wrap")
-        vals = ndimage.map_coordinates(coeffs, [bx, by], order=3,
+        vals = ndimage.map_coordinates(coeffs, foot, order=3,
                                        prefilter=False, mode="grid-wrap")
     return ScalarField2D(values=vals, box=box)
 

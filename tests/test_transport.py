@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.optimize import brentq
 
 from cexlab import transport
@@ -19,6 +20,15 @@ from cexlab.transport import (AlternatingMixer, advect, blowup_budget,
                               superpose_scalars)
 
 BOX = 2.0
+EPS = np.finfo(float).eps
+
+
+def complex_divergence(vf):
+    """The spectral divergence by complex FFTs, keeping the real part."""
+    k = 2.0 * math.pi * np.fft.fftfreq(vf.n, d=vf.dx)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return np.real(np.fft.ifft2(
+        1j * (kx * np.fft.fft2(vf.u) + ky * np.fft.fft2(vf.v))))
 
 
 class TestSchedule:
@@ -144,11 +154,20 @@ class TestAdmissibility:
     def test_reports_match_per_exponent_norms(self, monkeypatch):
         vf = mixer_velocity(AlternatingMixer(), 0.3, 256, BOX)
         rep = check_admissible(vf)
+        # oracle for V3: one Jacobian per exponent
+        ps = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+        ratios = [w1p_norm(vf, p) / p ** 4 for p in ps]
+        k = int(np.argmax(ratios))
+        assert (rep.worst_p, rep.worst_gradient_ratio) == (ps[k], ratios[k])
+        # oracle for V4: the divergence by its own complex FFTs; the gap
+        # to u_x + v_y is at most 0.45 eps sup|u| kmax over the mixers at
+        # grids 64 to 512, amplitudes 0.035 and 0.07 and times 0.05 to 0.7
+        want = float(np.max(np.abs(complex_divergence(vf))))
+        kmax = math.pi * vf.n / BOX
+        assert abs(rep.max_div - want) <= 0.5 * EPS * rep.sup_speed * kmax
         rc = rescale_norm_check(0.5, math.exp(-1.0), 4, 128, BOX)
-        # oracle: one Jacobian per exponent
         monkeypatch.setattr(transport, "w1p_norms",
                             lambda vf, ps: [w1p_norm(vf, p) for p in ps])
-        assert check_admissible(vf) == rep
         assert rescale_norm_check(0.5, math.exp(-1.0), 4, 128, BOX) == rc
 
 
@@ -271,6 +290,34 @@ class TestPerpGrad:
         assert np.max(np.abs(wf.u)) <= 1e-10 * k
 
 
+def advect_every_step(theta, velocity_at, t0, t1, dt):
+    """advect's loop with the backtrace foot computed at every step."""
+    if not callable(velocity_at):
+        field = velocity_at
+        velocity_at = lambda t: field
+    steps = max(1, int(round((t1 - t0) / dt)))
+    n, dx = theta.n, theta.dx
+    idx = np.arange(n, dtype=float)
+    ix, iy = np.meshgrid(idx, idx, indexing="ij")
+    vals = theta.values
+    for s in range(steps):
+        t = t0 + s * dt
+        vf = velocity_at(t)
+        vh = velocity_at(t + 0.5 * dt)
+        if max(vf.sup_speed, vh.sup_speed) == 0.0:
+            continue
+        hx = ix - 0.5 * dt * vf.u / dx
+        hy = iy - 0.5 * dt * vf.v / dx
+        um = ndimage.map_coordinates(vh.u, [hx, hy], order=1, mode="grid-wrap")
+        vm = ndimage.map_coordinates(vh.v, [hx, hy], order=1, mode="grid-wrap")
+        bx = ix - dt * um / dx
+        by = iy - dt * vm / dx
+        coeffs = ndimage.spline_filter(vals, order=3, mode="grid-wrap")
+        vals = ndimage.map_coordinates(coeffs, [bx, by], order=3,
+                                       prefilter=False, mode="grid-wrap")
+    return vals
+
+
 class TestAdvection:
     def blob(self, n=64):
         return gaussian_blob(n, BOX, (0.0, 0.0), 0.25)
@@ -314,6 +361,58 @@ class TestAdvection:
         # are (a, a) four times, then (a, b), then (b, b) five times
         advect(th, lambda t: a if t < 0.42 else b, 0.0, 1.0, 0.1)
         assert calls == [a, a, b, b]
+
+    def test_foot_reuse_is_bit_identical(self):
+        mixer = AlternatingMixer()
+        sch = default_schedule()
+        n, dt = 128, 0.05
+        for m in (2, 3, 4):
+            st = make_stage(sch, m, (0.0, 0.0))
+            tracer = stage_tracer(
+                lambda x, y: np.exp(-(x * x + y * y) / (2 * 0.35 ** 2)),
+                st, n, BOX)
+
+            def vel(t, st=st):
+                return stage_velocity(mixer, st, t, n, BOX)
+
+            # stage m switches direction every 0.5 / m: at a step end for
+            # m = 2 and 4, inside a step for m = 3
+            got = advect(tracer, vel, 0.0, 0.6, dt)
+            assert np.array_equal(got.values,
+                                  advect_every_step(tracer, vel, 0.0, 0.6, dt))
+        th = self.blob()
+        vf = mixer_velocity(mixer, 0.0, 64, BOX)
+        assert np.array_equal(advect(th, vf, 0.0, 0.5, dt).values,
+                              advect_every_step(th, vf, 0.0, 0.5, dt))
+        u0 = np.full((64, 64), 0.25)
+
+        def ramp(t):
+            # a new field object at every call
+            return VectorField2D(u=t * u0, v=-t * u0, box=BOX)
+
+        assert np.array_equal(advect(th, ramp, 0.0, 0.5, dt).values,
+                              advect_every_step(th, ramp, 0.0, 0.5, dt))
+
+    def test_foot_is_taken_once_per_pair_of_fields(self, monkeypatch):
+        n = 64
+        th = self.blob(n)
+        u = np.full((n, n), 0.1)
+        a = VectorField2D(u=u, v=0 * u, box=BOX)
+        b = VectorField2D(u=0 * u, v=u, box=BOX)
+        orders = []
+        map_coordinates = ndimage.map_coordinates
+
+        def counted(*args, **kwargs):
+            orders.append(kwargs["order"])
+            return map_coordinates(*args, **kwargs)
+
+        monkeypatch.setattr(transport.ndimage, "map_coordinates", counted)
+        advect(th, a, 0.0, 1.0, 0.1)
+        assert orders.count(1) == 2 and orders.count(3) == 10
+        orders.clear()
+        # the pairs (a, a), (a, b) and (b, b), as in the sup_speed test
+        advect(th, lambda t: a if t < 0.42 else b, 0.0, 1.0, 0.1)
+        assert orders.count(1) == 6 and orders.count(3) == 10
 
     def test_zero_velocity_is_identity(self):
         th = self.blob()
