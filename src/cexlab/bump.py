@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .holder import Fn1D, HolderEstimate, holder_constant
-from .intervals import DyadicFamily, IntervalSet, build_kn
+from .holder import Fn1D, holder_constant
+from .intervals import DyadicFamily, build_kn
 
 
 class ConstructionImpossible(ValueError):
@@ -159,34 +158,30 @@ def multibump(bump, params):
     partial mass of the active ones, then subtracts the same count at 0,
     so psi(0) = 0.
     """
-    n, k = params.n, params.k
     scale, rate, spacing = params.scale, params.rate, params.spacing
     count = params.count
-    two_n = float(2 ** n)
+    two_n = float(2 ** params.n)
 
     def nearest(x):
         j = np.round(x * two_n)
         return np.clip(j, -count, count)
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        j0 = nearest(x)
+    def neighbours(profile, x, j0):
+        """profile summed over the copies centred at j0 - 1, j0, j0 + 1."""
         out = np.zeros_like(x)
         for dj in (-1.0, 0.0, 1.0):
             j = j0 + dj
             ok = np.abs(j) <= count
-            out += np.where(ok, bump.eval(rate * (x - j * spacing)), 0.0)
-        return scale * out
+            out += np.where(ok, profile(rate * (x - j * spacing)), 0.0)
+        return out
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return scale * neighbours(bump.eval, x, nearest(x))
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
-        j0 = nearest(x)
-        out = np.zeros_like(x)
-        for dj in (-1.0, 0.0, 1.0):
-            j = j0 + dj
-            ok = np.abs(j) <= count
-            out += np.where(ok, bump.deriv(rate * (x - j * spacing)), 0.0)
-        return scale * rate * out
+        return scale * rate * neighbours(bump.deriv, x, nearest(x))
 
     def raw_count_and_partial(x):
         """Completed bumps strictly below x, plus partial masses of the
@@ -196,12 +191,7 @@ def multibump(bump, params):
         # edge is at most (j0 - 2 + 2^(n - beta*n))/2^n < (j0 - 1/2)/2^n <= x
         full = np.clip(j0 - 2.0, -count - 1.0, count) - (-count) + 1.0
         full = np.maximum(full, 0.0)
-        part = np.zeros_like(x)
-        for dj in (-1.0, 0.0, 1.0):
-            j = j0 + dj
-            ok = np.abs(j) <= count
-            part += np.where(ok, bump.mass(rate * (x - j * spacing)), 0.0)
-        return full + part
+        return full + neighbours(bump.mass, x, j0)
 
     s0 = float(raw_count_and_partial(np.asarray(0.0)))
 
@@ -209,9 +199,7 @@ def multibump(bump, params):
         x = np.asarray(x, dtype=float)
         return params.bump_mass * (raw_count_and_partial(x) - s0)
 
-    support = (-k - spacing, k + spacing)
-    return Fn1D(eval=evaluate, deriv=deriv, antideriv=antideriv,
-                support_hint=support)
+    return Fn1D(eval=evaluate, deriv=deriv, antideriv=antideriv)
 
 
 @dataclass(frozen=True)
@@ -255,7 +243,30 @@ class MultibumpReport:
                 and self.holder_ok and self.gap_ok)
 
 
-def verify_multibump_estimates(bump, params, kn_nmax=None, grid_points=1500):
+def _least_increment(x, y, reach):
+    """Least y[j] - y[i] over the pairs with x[j] - x[i] >= reach, as a
+    scan of all pairs rounds it (inf if none); x nondecreasing, reach > 0.
+
+    The qualifying j form a suffix, since a rounded difference is monotone
+    in x[j]; searchsorted guesses its start, and steps correct the guess
+    where x[i] + reach rounds across it.  Rounding is monotone too, so the
+    least rounded difference is the suffix minimum of y minus y[i].
+    """
+    last = x.size - 1
+
+    def qualifies(j):
+        return (j <= last) & (x[np.clip(j, 0, last)] - x >= reach)
+
+    j = np.searchsorted(x, x + reach)
+    while (back := qualifies(j - 1)).any():
+        j -= back
+    while (ahead := (j <= last) & ~qualifies(j)).any():
+        j += ahead
+    suffix_min = np.append(np.minimum.accumulate(y[::-1])[::-1], np.inf)
+    return float(np.min(suffix_min[j] - y))
+
+
+def verify_multibump_estimates(bump, params):
     """Measure the five estimates for one multi-bump function.
 
     Requires the separation hypothesis beta*n >= n+2; without it the
@@ -274,7 +285,9 @@ def verify_multibump_estimates(bump, params, kn_nmax=None, grid_points=1500):
     plus the surrounding gaps; by exact periodicity of the construction
     every pair of points is equivalent to a pair in such a window (pairs
     spanning further than one period are dominated by the pointwise bound
-    at larger distance).
+    at larger distance).  The gap bound is taken over all pairs of a grid
+    on [-k, k] in one suffix-minimum pass; (-k, k) always qualifies.  Both
+    grids have a fixed 1500 points.
     """
     if not params.meets_estimate_hypothesis():
         raise ValueError(
@@ -287,9 +300,8 @@ def verify_multibump_estimates(bump, params, kn_nmax=None, grid_points=1500):
 
     # support check on K_n (truncated far enough that the leftover cover
     # measure is far below the spacing) and beyond the last bump
-    nmax = kn_nmax if kn_nmax is not None else max(n + 8, 12)
     fam = DyadicFamily(alpha=params.alpha, beta=params.beta, window=k + 1)
-    kn = build_kn(fam, n, nmax)
+    kn = build_kn(fam, n, max(n + 8, 12))
     kn_grid = kn.sample_grid(spacing / 7)
     outside = np.linspace(k + 1, k + 3, 101)
     support_vals = np.abs(np.concatenate([f.eval(kn_grid), f.eval(outside),
@@ -310,22 +322,14 @@ def verify_multibump_estimates(bump, params, kn_nmax=None, grid_points=1500):
     lip_bound = 2.0 ** ((1.0 - alpha) * params.beta * n) * bump.lip_const
 
     # Hoelder sup over one period window: bump at 0 and its neighbours
-    w = np.linspace(-1.5 * spacing, 1.5 * spacing, grid_points)
+    w = np.linspace(-1.5 * spacing, 1.5 * spacing, 1500)
     holder_measured = holder_constant(f, alpha, w).constant
     holder_bound = bump_holder_constant(bump, alpha)
 
     # gap estimate via the closed-form antiderivative on [-k, k]
-    g = np.linspace(-k, k, grid_points)
-    psi = f.antideriv(g)
-    dx = g[:, None] - g[None, :]
-    dpsi = psi[:, None] - psi[None, :]
-    qual = dx >= 3.0 * spacing
+    g = np.linspace(-k, k, 1500)
+    gap_min = _least_increment(g, f.antideriv(g), 3.0 * spacing)
     gap_bound = params.bump_mass
-    if np.any(qual):
-        gaps = dpsi[qual]
-        gap_min = float(np.min(gaps))
-    else:
-        gap_min = math.inf
     return MultibumpReport(
         params=params, support_ok=support_ok,
         sup_phi=sup_phi, sup_phi_bound=bump.sup * scale,
@@ -370,15 +374,14 @@ def extend_piecewise_affine(phi, kset, order, H, L, C, D):
     if not C < D:
         raise ValueError(f"need C < D, got C={C}, D={D}")
     gaps = kset.complement(C, D)
-    phi_fn = phi.eval if isinstance(phi, Fn1D) else phi
     ga = np.array([float(p.lo) for p in gaps.parts])
     gb = np.array([float(p.hi) for p in gaps.parts])
-    va = np.asarray(phi_fn(ga), dtype=float) if ga.size else ga
-    vb = np.asarray(phi_fn(gb), dtype=float) if gb.size else gb
+    va = np.asarray(phi(ga), dtype=float) if ga.size else ga
+    vb = np.asarray(phi(gb), dtype=float) if gb.size else gb
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        out = np.asarray(phi_fn(x), dtype=float).copy()
+        out = np.asarray(phi(x), dtype=float).copy()
         if ga.size:
             idx = np.searchsorted(ga, x, side="right") - 1
             idc = np.clip(idx, 0, ga.size - 1)
@@ -492,11 +495,10 @@ def build_candidate(f0, L0, H, eps1, k0, alpha, beta,
     params = MultibumpParams(DyadicFamily(alpha=alpha, beta=beta, window=k0),
                              n=n0, k=k0)
     mb = multibump(bump, params)
-    f0e = f0.eval if isinstance(f0, Fn1D) else f0
     f0d = f0.deriv if isinstance(f0, Fn1D) else None
 
     def evaluate(x):
-        return f0e(x) + eps2 * mb.antideriv(x)
+        return f0(x) + eps2 * mb.antideriv(x)
 
     deriv = None
     if f0d is not None:

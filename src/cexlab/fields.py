@@ -20,7 +20,6 @@ of a real field.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -132,19 +131,22 @@ def hs_norm(field, s, homogeneous=True):
     Homogeneous: weight |k|^(2s), zero mode dropped.  Inhomogeneous:
     weight (1+|k|^2)^s, zero mode kept (the weight is 1 there).
     """
+    return hs_norms(field, (s,), homogeneous)[0]
+
+
+def hs_norms(field, ss, homogeneous=True):
+    """hs_norm for every order s in ss, from one spectrum of the field."""
     n, dx, L = field.n, field.dx, field.box
     fh = np.fft.fft2(field.values) * dx * dx
     kx, ky = _wavenumbers(n, dx)
     k2 = kx * kx + ky * ky
     e = np.abs(fh) ** 2
     if homogeneous:
-        k2flat = k2.ravel()
-        eflat = e.ravel()
-        mask = k2flat > 0
-        total = np.sum(k2flat[mask] ** s * eflat[mask]) / (L * L)
+        mask = k2 > 0
+        k2, e = k2[mask], e[mask]
     else:
-        total = np.sum((1.0 + k2) ** s * e) / (L * L)
-    return math.sqrt(total)
+        k2 = 1.0 + k2
+    return [math.sqrt(np.sum(k2 ** s * e) / (L * L)) for s in ss]
 
 
 def l2_norm(field):

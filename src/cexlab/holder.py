@@ -37,14 +37,12 @@ class Fn1D:
 
     eval must accept floats and numpy arrays.  deriv and antideriv are
     optional closed forms (the derivative may be an a.e. one for piecewise
-    smooth functions).  support_hint, when present, is an (a, b) pair
-    outside which the function vanishes.
+    smooth functions).
     """
 
     eval: Callable
     deriv: Optional[Callable] = None
     antideriv: Optional[Callable] = None
-    support_hint: Optional[tuple] = None
 
     def __call__(self, x):
         return self.eval(x)
@@ -58,10 +56,6 @@ class HolderEstimate:
     order: float
     constant: float
     witness: Optional[tuple]
-
-
-def _as_callable(f):
-    return f.eval if isinstance(f, Fn1D) else f
 
 
 def holder_constant(f, order, grid):
@@ -87,7 +81,7 @@ def holder_constant(f, order, grid):
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("grid must be strictly increasing (no duplicates)")
-    v = np.asarray(_as_callable(f)(x), dtype=float)
+    v = np.asarray(f(x), dtype=float)
     bad = ~np.isfinite(v)
     if np.any(bad):
         # a NaN compares false with everything, so the sup would skip it
@@ -209,11 +203,10 @@ def sawtooth_perturb(f0, n, H, eps1):
     hsaw = sawtooth_half_holder_constant()
     amp = H * eps1 / hsaw
 
-    f0e = _as_callable(f0)
     f0d = f0.deriv if isinstance(f0, Fn1D) else None
 
     def evaluate(x):
-        return f0e(x) + amp / n * sawtooth(n * n * np.asarray(x, dtype=float))
+        return f0(x) + amp / n * sawtooth(n * n * np.asarray(x, dtype=float))
 
     deriv = None
     if f0d is not None:

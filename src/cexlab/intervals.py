@@ -186,8 +186,8 @@ class IntervalSet:
         `np.linspace(lo, hi, max(2, ceil((hi - lo) / step) + 1))`, bit for
         bit, computed for all parts at once.
         """
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not step > 0:
+            raise ValueError(f"step must be positive, got {step}")
         if not self.parts:
             return np.empty(0)
         lo = np.array([float(p.lo) for p in self.parts])
@@ -240,7 +240,7 @@ class DyadicFamily:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.beta > 1:
             raise ValueError(f"beta must be > 1, got {self.beta}")
-        if self.window < 0:
+        if not self.window >= 0:
             raise ValueError(f"window must be >= 0, got {self.window}")
 
     def radius(self, n):

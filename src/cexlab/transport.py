@@ -34,8 +34,8 @@ import numpy as np
 from scipy import ndimage
 
 from .fields import (ScalarField2D, VectorField2D, gradient, hs_norm,
-                     jacobian, jacobian_norms, l2_norm, modulated_blob,
-                     spectral_tail_fraction, w1p_norms)
+                     hs_norms, jacobian, jacobian_norms, l2_norm,
+                     modulated_blob, spectral_tail_fraction, w1p_norms)
 
 
 def _ramp(t):
@@ -366,8 +366,8 @@ def advect(theta, velocity_at, t0, t1, dt, cfl_safety=0.5):
         raise ValueError("need t1 >= t0")
     if t1 == t0:
         return theta
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     steps = max(1, int(round((t1 - t0) / dt)))
     if abs(steps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
         raise ValueError(
@@ -473,9 +473,11 @@ def rescale_norm_check(lam, gamma, n, grid_n, box,
                             carrier / lam, amplitude=gamma)
     hs_details = []
     hs_worst = 0.0
-    for s in s_values:
+    s_values = tuple(s_values)
+    for s, shr, base in zip(s_values, hs_norms(shr_tr, s_values),
+                            hs_norms(base_tr, s_values)):
         predicted = gamma * lam ** (1.0 - s)
-        measured = hs_norm(shr_tr, s) / hs_norm(base_tr, s)
+        measured = shr / base
         rel = abs(measured - predicted) / predicted
         hs_details.append((s, predicted, measured, rel))
         hs_worst = max(hs_worst, rel)

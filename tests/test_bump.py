@@ -21,6 +21,24 @@ def params_for(alpha, beta, n, k=1):
                            n=n, k=k)
 
 
+def pair_matrix_gap(g, psi, reach):
+    """The gap bound as a scan of all pairs: the N^2 matrices the
+    suffix-minimum pass replaced, kept as its oracle."""
+    dx = g[:, None] - g[None, :]
+    dpsi = psi[:, None] - psi[None, :]
+    qual = dx >= reach
+    return float(np.min(dpsi[qual]))
+
+
+# the sweep the suffix-minimum pass was checked on: every level meeting
+# beta*n >= n+2, on grids of 2 to 1537 points; at 957 of its 1944 grids
+# some pair is exactly 3/2^n apart
+SWEEP_BETAS = (1.4, 1.5, 1.6, 2.0, 2.5)
+SWEEP_SIZES = (2, 3, 5, 9, 17, 33, 97, 257, 385, 769, 1025, 1537)
+# the benchmark's multi-bump shapes (beta, n, k)
+BENCH_SHAPES = ((1.5, 4, 1), (1.6, 4, 1), (1.5, 4, 2))
+
+
 class TestMotherBump:
     def test_closed_form_values(self):
         b = default_bump()
@@ -179,6 +197,73 @@ class TestEstimateReport:
             params_for(0.2, 1.5, n=4, k=0)
         with pytest.raises(ValueError, match="beta must be > 1"):
             params_for(0.2, 0.9, n=4)
+
+
+class TestLeastIncrement:
+    def test_matches_pair_scan_on_hand_grids(self):
+        x = np.arange(10.0)
+        y = np.array([0.0, 2.0, 1.0, 5.0, 3.0, 3.0, 7.0, 6.0, 9.0, 8.0])
+        for reach in (0.5, 1.0, 3.0, 4.5, 9.0):
+            assert bump_module._least_increment(x, y, reach) \
+                == pair_matrix_gap(x, y, reach)
+        # repeated points and a reach met exactly by several pairs
+        x = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+        y = np.array([1.0, 0.0, 4.0, 2.0, 3.0, 1.5, 0.5, 2.5])
+        for reach in (1.0, 2.0, 3.0):
+            assert bump_module._least_increment(x, y, reach) \
+                == pair_matrix_gap(x, y, reach)
+        assert bump_module._least_increment(x, y, 3.5) == math.inf
+
+    def test_rounding_at_the_boundary(self):
+        # 0.3 + 0.7 rounds up to 1.0, yet 0.9999999999999999 - 0.3 rounds
+        # to 0.7: the searchsorted guess misses a qualifying pair
+        x = np.array([0.3, 0.9999999999999999, 1.5])
+        y = np.array([0.0, -1.0, 2.0])
+        assert bump_module._least_increment(x, y, 0.7) == -1.0
+        assert pair_matrix_gap(x, y, 0.7) == -1.0
+        # a repeated point there: the guess is two steps past the start
+        x = np.array([0.3, 0.9999999999999999, 0.9999999999999999, 1.5])
+        y = np.array([0.0, -1.0, 0.0, 2.0])
+        assert bump_module._least_increment(x, y, 0.7) == -1.0
+        assert pair_matrix_gap(x, y, 0.7) == -1.0
+        # 1.1 + 0.2 rounds to 1.3, yet 1.3 - 1.1 rounds below 0.2: the
+        # guess takes a pair that does not qualify
+        x = np.array([1.1, 1.3, 2.0])
+        y = np.array([0.0, -5.0, 1.0])
+        assert bump_module._least_increment(x, y, 0.2) == 1.0
+        assert pair_matrix_gap(x, y, 0.2) == 1.0
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.2, 0.4))
+    def test_matches_pair_scan_across_the_sweep(self, alpha):
+        b = default_bump()
+        grids = ties = 0
+        for beta in SWEEP_BETAS:
+            for n in range(2, 7):
+                for k in (1, 2, 3):
+                    p = params_for(alpha, beta, n, k)
+                    if not p.meets_estimate_hypothesis():
+                        continue
+                    antideriv = multibump(b, p).antideriv
+                    reach = 3.0 * p.spacing
+                    for size in SWEEP_SIZES:
+                        g = np.linspace(-k, k, size)
+                        psi = antideriv(g)
+                        assert bump_module._least_increment(g, psi, reach) \
+                            == pair_matrix_gap(g, psi, reach), (beta, n, k, size)
+                        grids += 1
+                        ties += bool(np.any(g[:, None] - g[None, :] == reach))
+        assert grids == 648
+        assert ties == 319
+
+    @pytest.mark.parametrize("alpha", (0.03, 0.05, 0.08))
+    def test_report_gap_matches_pair_scan_at_bench_shapes(self, alpha):
+        b = default_bump()
+        for beta, n, k in BENCH_SHAPES:
+            p = params_for(alpha, beta, n, k)
+            g = np.linspace(-k, k, 1500)
+            expect = pair_matrix_gap(g, multibump(b, p).antideriv(g),
+                                     3.0 * p.spacing)
+            assert verify_multibump_estimates(b, p).gap_min == expect
 
 
 class TestAffineExtension:

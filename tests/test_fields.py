@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cexlab.fields import (ScalarField2D, VectorField2D, gaussian_blob,
-                           gradient, hs_norm, l2_norm, load_field,
+                           gradient, hs_norm, hs_norms, l2_norm, load_field,
                            modulated_blob, quadrupole_blob, save_field,
                            spectral_divergence, spectral_tail_fraction,
                            w1p_norm, w1p_norms, w1p_seminorm)
@@ -93,6 +93,29 @@ class TestNorms:
         h1 = math.hypot(hs_norm(ScalarField2D(vf.u, BOX), 1.0),
                         hs_norm(ScalarField2D(vf.v, BOX), 1.0))
         assert w1p_norm(vf, 2.0) == pytest.approx(h1, rel=1e-12)
+
+    def test_hs_norms_match_per_order_norms(self):
+        f = modulated_blob(64, BOX, (0.1, -0.2), 0.2, 12.0)
+        ss = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+        def one_order(s, homogeneous):
+            # the per-order formula, one spectrum per s
+            fh = np.fft.fft2(f.values) * f.dx * f.dx
+            k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
+            kx, ky = np.meshgrid(k, k, indexing="ij")
+            k2 = kx * kx + ky * ky
+            e = np.abs(fh) ** 2
+            if homogeneous:
+                mask = k2.ravel() > 0
+                total = np.sum(k2.ravel()[mask] ** s * e.ravel()[mask])
+            else:
+                total = np.sum((1.0 + k2) ** s * e)
+            return math.sqrt(total / (BOX * BOX))
+
+        for homogeneous in (True, False):
+            got = hs_norms(f, ss, homogeneous)
+            assert got == [one_order(s, homogeneous) for s in ss]
+            assert got == [hs_norm(f, s, homogeneous) for s in ss]
 
     def test_w1p_norms_match_per_exponent_norms(self):
         k1 = 2.0 * math.pi / BOX

@@ -242,6 +242,12 @@ class TestRestrictedLipschitz:
         assert (est.constant, est.witness) == _pair_scan(grid, np.sin(grid), 1.0)
 
 
+    def test_nan_step_is_refused(self):
+        kset = IntervalSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
+        with pytest.raises(ValueError, match="step must be positive, got nan"):
+            restricted_lipschitz(np.sin, kset, math.nan)
+
+
 class TestSawtooth:
     def test_shape(self):
         x = np.linspace(-0.5, 0.5, 1001)

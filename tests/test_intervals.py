@@ -119,6 +119,8 @@ class TestIntervalSet:
     def test_sample_grid_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             IntervalSet().sample_grid(0.0)
+        with pytest.raises(ValueError, match="step must be positive, got nan"):
+            IntervalSet.from_pairs([(0.0, 1.0)]).sample_grid(math.nan)
 
     def test_sample_grid_matches_linspace_per_part(self):
         s = IntervalSet.from_pairs([(Fraction(-1), Fraction(-1, 3)), (0.0, 0.0),
@@ -188,6 +190,8 @@ class TestDyadicFamily:
             fam(beta=1.0)
         with pytest.raises(ValueError, match="window"):
             fam(window=-1)
+        with pytest.raises(ValueError, match="window must be >= 0, got nan"):
+            fam(window=math.nan)
 
     def test_radius_exact_when_dyadic(self):
         f = fam(beta=1.5)

@@ -333,6 +333,8 @@ class TestAdvection:
             advect(th, vf, 1.0, 0.0, 0.1)
         with pytest.raises(ValueError, match="dt must"):
             advect(th, vf, 0.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="dt must be positive, got nan"):
+            advect(th, vf, 0.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="divide"):
             advect(th, vf, 0.0, 1.0, 0.3)
         ones = np.ones((64, 64))
@@ -527,6 +529,20 @@ class TestRescalingLaws:
     def test_scale_gate(self):
         with pytest.raises(ValueError, match="lam"):
             rescale_norm_check(1.5, 0.5, 4, 256, BOX)
+
+
+    def test_one_spectrum_per_tracer_probe(self, monkeypatch):
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return fft2(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft2", counting)
+        rc = rescale_norm_check(0.5, math.exp(-1.0), 4, 128, BOX)
+        assert len(calls) == 2
+        assert len(rc.hs_details) == 3
 
 
 class TestBlowupBudget:
